@@ -132,21 +132,19 @@ pub struct StepScores {
     pub log_likelihood: f64,
 }
 
-/// Dense-kernel attribution: the per-step factors of the same scaled
-/// forward recursion as [`forward`], using two rolling state vectors. The
-/// arithmetic (operation order included) matches [`forward`] exactly, so
-/// `log_likelihood` is bit-identical to `forward(hmm, obs).log_likelihood`.
+/// The scaled forward recursion of [`forward`] over two rolling state
+/// vectors, handing each step's `ln Σ_j α̂_t(j)` to `on_step` (the
+/// `-inf` step included when mass vanishes) and returning their
+/// left-to-right sum. The arithmetic (operation order included) matches
+/// [`forward`] exactly, so the result is bit-identical to
+/// `forward(hmm, obs).log_likelihood` without its per-step allocations.
 #[allow(clippy::needless_range_loop)] // dense recursions index several arrays in lock-step
-pub fn step_scores(hmm: &Hmm, obs: &[usize]) -> StepScores {
+fn rolling_forward(hmm: &Hmm, obs: &[usize], mut on_step: impl FnMut(f64)) -> f64 {
     let n = hmm.n_states();
     let t_len = obs.len();
-    let mut steps = Vec::with_capacity(t_len);
     let mut log_likelihood = 0.0f64;
     if t_len == 0 {
-        return StepScores {
-            steps,
-            log_likelihood: 0.0,
-        };
+        return 0.0;
     }
 
     let mut prev = vec![0.0f64; n];
@@ -159,11 +157,8 @@ pub fn step_scores(hmm: &Hmm, obs: &[usize]) -> StepScores {
         sum += prev[i];
     }
     if sum <= 0.0 {
-        steps.push(f64::NEG_INFINITY);
-        return StepScores {
-            steps,
-            log_likelihood: f64::NEG_INFINITY,
-        };
+        on_step(f64::NEG_INFINITY);
+        return f64::NEG_INFINITY;
     }
     let scale = 1.0 / sum;
     for v in &mut prev {
@@ -171,7 +166,7 @@ pub fn step_scores(hmm: &Hmm, obs: &[usize]) -> StepScores {
     }
     let step = sum.ln();
     log_likelihood += step;
-    steps.push(step);
+    on_step(step);
 
     // t > 0 — same i-outermost row accumulation as `forward`.
     for t in 1..t_len {
@@ -189,11 +184,8 @@ pub fn step_scores(hmm: &Hmm, obs: &[usize]) -> StepScores {
             sum += *c;
         }
         if sum <= 0.0 {
-            steps.push(f64::NEG_INFINITY);
-            return StepScores {
-                steps,
-                log_likelihood: f64::NEG_INFINITY,
-            };
+            on_step(f64::NEG_INFINITY);
+            return f64::NEG_INFINITY;
         }
         let scale = 1.0 / sum;
         for v in cur.iter_mut() {
@@ -201,19 +193,28 @@ pub fn step_scores(hmm: &Hmm, obs: &[usize]) -> StepScores {
         }
         let step = sum.ln();
         log_likelihood += step;
-        steps.push(step);
+        on_step(step);
         std::mem::swap(&mut prev, &mut cur);
     }
+    log_likelihood
+}
 
+/// Dense-kernel attribution: the per-step factors of the same scaled
+/// forward recursion as [`forward`]. `log_likelihood` is bit-identical to
+/// `forward(hmm, obs).log_likelihood`.
+pub fn step_scores(hmm: &Hmm, obs: &[usize]) -> StepScores {
+    let mut steps = Vec::with_capacity(obs.len());
+    let log_likelihood = rolling_forward(hmm, obs, |step| steps.push(step));
     StepScores {
         steps,
         log_likelihood,
     }
 }
 
-/// Convenience: `log P(O | λ)`.
+/// `log P(O | λ)`, bit-identical to `forward(hmm, obs).log_likelihood`
+/// but with two rolling state vectors instead of the full α table.
 pub fn log_likelihood(hmm: &Hmm, obs: &[usize]) -> f64 {
-    forward(hmm, obs).log_likelihood
+    rolling_forward(hmm, obs, |_| {})
 }
 
 /// Per-symbol normalized log-likelihood, comparable across sequence lengths.
@@ -351,6 +352,10 @@ mod tests {
             // Identical op sequence to `forward`: total and re-summed
             // steps must both reproduce the score bit-for-bit.
             assert_eq!(scores.log_likelihood, forward(&hmm, &obs).log_likelihood);
+            assert_eq!(
+                log_likelihood(&hmm, &obs).to_bits(),
+                forward(&hmm, &obs).log_likelihood.to_bits()
+            );
             assert_eq!(scores.steps.len(), obs.len());
             let resummed = scores.steps.iter().fold(0.0f64, |acc, s| acc + s);
             assert_eq!(resummed, scores.log_likelihood);
