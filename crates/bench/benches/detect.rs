@@ -2,10 +2,15 @@
 //! whole-trace scanning (what the online monitor pays per library call).
 
 use adprom_analysis::analyze;
-use adprom_core::{build_profile, BatchDetector, ConstructorConfig, DetectionEngine, ScoringMode};
+use adprom_core::{
+    build_profile, ConstructorConfig, DetectionEngine, MonitorRuntime, ProfileRegistry,
+    RuntimeConfig, ScoringMode,
+};
+use adprom_trace::TaggedCall;
 use adprom_workloads::hospital;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_detection(c: &mut Criterion) {
     let workload = hospital::workload(15, 9);
@@ -32,8 +37,9 @@ fn bench_detection(c: &mut Criterion) {
     });
 }
 
-/// Batch throughput: a serial engine loop vs the parallel BatchDetector in
-/// both scoring modes over the same multi-session batch.
+/// Batch throughput: a serial engine loop vs the monitor runtime fed one
+/// session per trace (one parallel flush at `finish`), in both scoring
+/// modes over the same multi-session batch.
 fn bench_batch(c: &mut Criterion) {
     let workload = hospital::workload(15, 9);
     let analysis = analyze(&workload.program);
@@ -52,13 +58,37 @@ fn bench_batch(c: &mut Criterion) {
             black_box(alerts)
         })
     });
-    let exact = BatchDetector::new(&profile);
+    let profiles = ProfileRegistry::new();
+    profiles
+        .register("hospital", profile)
+        .expect("profile validates");
+    let profiles = Arc::new(profiles);
+    let stream: Vec<TaggedCall> = batch
+        .iter()
+        .enumerate()
+        .flat_map(|(i, trace)| {
+            trace.iter().map(move |event| TaggedCall {
+                app: "hospital".to_string(),
+                session: format!("s-{i}"),
+                event: event.clone(),
+            })
+        })
+        .collect();
+    let run = |mode: ScoringMode| {
+        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles)).with_config(RuntimeConfig {
+            mode,
+            max_sessions: 0,
+            queue_capacity: 0,
+            ..RuntimeConfig::default()
+        });
+        runtime.ingest_stream(black_box(&stream));
+        runtime.finish().len()
+    };
     group.bench_function("parallel_exact", |b| {
-        b.iter(|| black_box(exact.detect_batch(black_box(&batch)).len()))
+        b.iter(|| black_box(run(ScoringMode::ExactWindows)))
     });
-    let incremental = BatchDetector::new(&profile).with_mode(ScoringMode::Incremental);
     group.bench_function("parallel_incremental", |b| {
-        b.iter(|| black_box(incremental.detect_batch(black_box(&batch)).len()))
+        b.iter(|| black_box(run(ScoringMode::Incremental)))
     });
     group.finish();
 }

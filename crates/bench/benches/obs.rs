@@ -7,12 +7,12 @@
 use adprom_analysis::analyze;
 use adprom_core::resilience::sites;
 use adprom_core::{
-    build_profile, trace_windows, BatchDetector, ConstructorConfig, DetectionEngine, FailPoint,
-    FaultKind, FaultPlan, ForensicsConfig, MonitorRuntime, ProfileRegistry, Trigger,
+    build_profile, trace_windows, ConstructorConfig, DetectionEngine, FailPoint, FaultKind,
+    FaultPlan, ForensicsConfig, MonitorRuntime, ProfileRegistry, RuntimeConfig, Trigger,
 };
 use adprom_hmm::{score_windows_batch, F32Kernel, SparseConfig, SparseTransitions};
 use adprom_obs::Registry;
-use adprom_trace::interleave;
+use adprom_trace::{interleave, TaggedCall};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -62,10 +62,11 @@ fn bench_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-/// Resilience overhead: the guarded per-trace path (`catch_unwind`, fail
-/// points, retry bookkeeping) vs the plain engine scan. The §11 contract:
-/// disabled fail points cost one branch, so `scan_guarded` must track
-/// `scan_plain` within noise.
+/// Resilience overhead: the monitor runtime's guarded path over one
+/// session (`catch_unwind`, fail points, retry bookkeeping, plus session
+/// admission and the serial commit) vs the plain engine scan of the same
+/// trace. The §11 contract: disabled fail points cost one branch — the
+/// `failpoint_*` pair measures that primitive directly.
 fn bench_resilience_overhead(c: &mut Criterion) {
     let workload = adprom_workloads::hospital::workload(15, 9);
     let analysis = analyze(&workload.program);
@@ -80,9 +81,30 @@ fn bench_resilience_overhead(c: &mut Criterion) {
     group.bench_function("scan_plain", |b| {
         b.iter(|| black_box(plain.scan(black_box(trace)).len()))
     });
-    let guarded = BatchDetector::new(&profile);
+    let profiles = ProfileRegistry::new();
+    profiles
+        .register("hospital", profile.clone())
+        .expect("profile validates");
+    let profiles = Arc::new(profiles);
+    let session: Vec<TaggedCall> = trace
+        .iter()
+        .map(|event| TaggedCall {
+            app: "hospital".to_string(),
+            session: "s-0".to_string(),
+            event: event.clone(),
+        })
+        .collect();
     group.bench_function("scan_guarded", |b| {
-        b.iter(|| black_box(guarded.scan_trace(black_box(trace)).len()))
+        b.iter(|| {
+            let mut runtime =
+                MonitorRuntime::new(Arc::clone(&profiles)).with_config(RuntimeConfig {
+                    max_sessions: 0,
+                    queue_capacity: 0,
+                    ..RuntimeConfig::default()
+                });
+            runtime.ingest_stream(black_box(&session));
+            black_box(runtime.finish()[0].alerts.len())
+        })
     });
 
     // The raw fail-point primitive: disabled is one branch; armed (but
@@ -90,12 +112,12 @@ fn bench_resilience_overhead(c: &mut Criterion) {
     let disabled = FailPoint::disabled();
     let injector = FaultPlan::new(7)
         .inject(
-            sites::WORKER_PANIC,
-            FaultKind::SlowScore { millis: 0 },
+            sites::MONITOR_SWAP,
+            FaultKind::Panic,
             Trigger::OnceForKeys([u64::MAX].into()),
         )
         .arm();
-    let armed = injector.point(sites::WORKER_PANIC);
+    let armed = injector.point(sites::MONITOR_SWAP);
     group.bench_function("failpoint_disabled", |b| {
         b.iter(|| black_box(disabled.fire(black_box(3))))
     });

@@ -1,9 +1,10 @@
 //! Batched-detection throughput harness: events/sec for the serial
 //! full-recompute scan (the baseline detection path) vs the sparse CSR
-//! scoring kernel and the parallel batch pipeline in both scoring modes,
-//! plus serial-vs-parallel Baum–Welch training wall-clock. Results are
-//! appended to the `BENCH_detect.json` history (a JSON array, one entry
-//! per run) at the workspace root. Run with:
+//! scoring kernel and the parallel batch pipeline in both scoring modes —
+//! the `MonitorRuntime` fed one session per trace, replayed in one flush
+//! across the thread pool — plus serial-vs-parallel Baum–Welch training
+//! wall-clock. Results are appended to the `BENCH_detect.json` history (a
+//! JSON array, one entry per run) at the workspace root. Run with:
 //!
 //! ```text
 //! cargo run --release -p adprom-bench --bin bench_detect
@@ -24,11 +25,11 @@
 //!   f64 run's, and records the throughput ratio plus how many windows
 //!   the guard band sent back to f64.
 //! * `--metrics-out <path>` — dump the full pipeline metrics snapshot
-//!   (training, detection, batch, kernel and sliding-scorer accounting).
+//!   (training, detection, monitor, kernel and sliding-scorer accounting).
 //! * `--smoke` — small workload and short measurement budget, for CI.
 //! * `--faults` — after the throughput runs, replay the batch under a
-//!   deterministic fault plan (corrupt + truncated ingest, injected
-//!   worker panics, a slow score) and *assert* that every non-quarantined
+//!   deterministic fault plan (corrupt + truncated ingest, panics injected
+//!   into two sessions' replays) and *assert* that every non-quarantined
 //!   trace gets the same verdict as a fault-free run over the same
 //!   screened input.
 //! * `--multiapp` — interleave 3 applications × 64 sessions each
@@ -37,7 +38,7 @@
 //!   kernel), *assert* every session's verdict matches a per-app serial
 //!   scan of its de-interleaved trace, report per-stage
 //!   (`monitor.stage.*`) p50/p99 latencies, and record multiplexed
-//!   throughput against the per-app batched incremental path over the
+//!   throughput against one unmultiplexed runtime batch per app over the
 //!   same workload. With `--metrics-out <path>` the monitor registry
 //!   snapshot is also written, to `<path stem>.multiapp.<ext>`.
 //! * `--forensics` — replay the §V-C attack corpus (banking + hospital
@@ -75,18 +76,17 @@ use adprom_attacks::{
 use adprom_core::resilience::sites;
 use adprom_core::{
     apply_ingest_faults, build_profile, encode_stream, init_from_pctm, partition_stream, shard_for,
-    trace_windows, verdict_partition, Alert, BatchDetector, ConstructorConfig, DetectionEngine,
-    FaultInjector, FaultKind, FaultPlan, Flag, ForensicsConfig, Health, HealthMonitor,
-    KernelConfig, MonitorRuntime, OverloadConfig, Precision, ProfileRegistry, RuntimeConfig,
-    ScoringMode, ScoringTier, SessionEnd, SessionReport, ShardedMonitor, ShedPolicy, TraceStatus,
-    Trigger,
+    trace_windows, verdict_partition, Alert, ConstructorConfig, DetectionEngine, FaultInjector,
+    FaultKind, FaultPlan, Flag, ForensicsConfig, Health, KernelConfig, MonitorRuntime,
+    OverloadConfig, Precision, ProfileRegistry, RuntimeConfig, ScoringMode, ScoringTier,
+    SessionEnd, SessionReport, ShardedMonitor, ShedPolicy, Trigger,
 };
 use adprom_hmm::{
     log_likelihood_sparse, score_windows_batch, train, BeamConfig, F32Kernel, Hmm, SparseConfig,
     SparseTransitions,
 };
 use adprom_obs::{AuditLog, AuditRecord, MemoryAuditSink, Registry};
-use adprom_trace::{interleave, CallEvent, TraceValidator};
+use adprom_trace::{interleave, CallEvent, TaggedCall, TraceValidator};
 use adprom_workloads::{banking, hospital, supermarket, Workload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -114,6 +114,35 @@ fn throughput(
         runs += 1;
     }
     (events as f64 / best, alerts)
+}
+
+/// A batch of traces as one monitored stream: trace `i` becomes session
+/// `sessions[i]` of `app`, its events contiguous. Fed to
+/// [`batch_runtime`], the batch replays in one parallel flush at
+/// `finish()`, one report per non-empty trace, in input order.
+fn batch_stream(app: &str, sessions: &[String], traces: &[Vec<CallEvent>]) -> Vec<TaggedCall> {
+    sessions
+        .iter()
+        .zip(traces)
+        .flat_map(|(session, trace)| {
+            trace.iter().map(move |event| TaggedCall {
+                app: app.to_string(),
+                session: session.clone(),
+                event: event.clone(),
+            })
+        })
+        .collect()
+}
+
+/// A runtime that holds a whole batch until `finish()`: no session bound,
+/// no mid-stream flush.
+fn batch_runtime(profiles: &Arc<ProfileRegistry>, mode: ScoringMode) -> MonitorRuntime {
+    MonitorRuntime::new(Arc::clone(profiles)).with_config(RuntimeConfig {
+        mode,
+        max_sessions: 0,
+        queue_capacity: 0,
+        ..RuntimeConfig::default()
+    })
 }
 
 /// Flag counts over a batch of per-trace alert lists, in severity order
@@ -474,29 +503,29 @@ fn main() {
         matches
     });
 
-    let exact = BatchDetector::new(&profile)
-        .with_registry(&registry)
-        .with_kernel(kernel_config);
+    // The parallel paths: the monitor runtime fed one session per trace,
+    // the whole batch replayed in one flush across the default pool.
+    let batch_profiles = ProfileRegistry::new().with_kernel(kernel_config);
+    batch_profiles
+        .register("hospital", profile.clone())
+        .expect("profile validates");
+    let batch_profiles = Arc::new(batch_profiles);
+    let batch_sessions: Vec<String> = (0..n_traces).map(|i| i.to_string()).collect();
+    let batch_events = batch_stream("hospital", &batch_sessions, &batch);
+    let run_batch = |mode: ScoringMode| -> Vec<SessionReport> {
+        let mut runtime = batch_runtime(&batch_profiles, mode).with_registry(&registry);
+        runtime.ingest_stream(&batch_events);
+        runtime.finish()
+    };
+    let alert_count =
+        |reports: Vec<SessionReport>| -> usize { reports.iter().map(|r| r.alerts.len()).sum() };
     // Record the pool size actually in force, not an assumed core count.
-    let threads = exact.threads();
+    let threads = rayon::current_num_threads();
     let (par_exact_eps, par_exact_alerts) = throughput(events, max_runs, budget_secs, &|| {
-        exact
-            .detect_batch(&batch)
-            .iter()
-            .map(|r| r.alerts.len())
-            .sum::<usize>()
+        alert_count(run_batch(ScoringMode::ExactWindows))
     });
-
-    let incremental = BatchDetector::new(&profile)
-        .with_registry(&registry)
-        .with_kernel(kernel_config)
-        .with_mode(ScoringMode::Incremental);
     let (par_inc_eps, par_inc_alerts) = throughput(events, max_runs, budget_secs, &|| {
-        incremental
-            .detect_batch(&batch)
-            .iter()
-            .map(|r| r.alerts.len())
-            .sum::<usize>()
+        alert_count(run_batch(ScoringMode::Incremental))
     });
 
     // Determinism spot-checks, not just counts: the parallel exact mode
@@ -508,11 +537,13 @@ fn main() {
         &dense_engine
     };
     let serial_reports: Vec<_> = batch.iter().map(|t| ref_engine.scan(t)).collect();
-    let exact_reports = exact.detect_batch(&batch);
-    let exact_identical = serial_reports
-        .iter()
-        .zip(&exact_reports)
-        .all(|(s, p)| s == &p.alerts);
+    // An empty trace opened no session: zero alerts.
+    let mut exact_reports = vec![Vec::new(); n_traces];
+    for report in run_batch(ScoringMode::ExactWindows) {
+        let index: usize = report.session.parse().expect("numeric session id");
+        exact_reports[index] = report.alerts;
+    }
+    let exact_identical = serial_reports == exact_reports;
     assert!(
         exact_identical,
         "parallel exact output diverged from serial"
@@ -573,7 +604,6 @@ fn main() {
         }));
 
         let fault_registry = Registry::new();
-        let health = HealthMonitor::with_registry(&fault_registry);
         let injector = FaultPlan::new(42)
             .inject(
                 sites::INGEST_CORRUPT,
@@ -585,15 +615,11 @@ fn main() {
                 FaultKind::TruncateTrace,
                 Trigger::OnceForKeys([2u64].into()),
             )
+            // Keyed by session arrival in the monitored batch below.
             .inject(
-                sites::WORKER_PANIC,
+                sites::MONITOR_SWAP,
                 FaultKind::Panic,
                 Trigger::OnceForKeys([0u64, 4].into()),
-            )
-            .inject(
-                sites::SLOW_SCORE,
-                FaultKind::SlowScore { millis: 2 },
-                Trigger::OnceForKeys([3u64].into()),
             )
             .arm();
 
@@ -606,30 +632,40 @@ fn main() {
         let quarantined = screened.quarantined.len();
         assert_eq!(quarantined, 1, "exactly the corrupt trace is quarantined");
 
-        // Fault-free reference over the same screened input.
-        let clean = BatchDetector::new(&profile)
-            .with_kernel(kernel_config)
-            .detect_batch(&screened.traces);
-        let guarded = BatchDetector::new(&profile)
-            .with_kernel(kernel_config)
-            .with_registry(&fault_registry)
-            .with_health(health.clone())
-            .with_faults(&injector);
-        let reports = guarded.detect_batch(&screened.traces);
-        let recovered = reports
-            .iter()
-            .filter(|r| matches!(r.status, TraceStatus::Recovered(_)))
-            .count();
-        let verdicts_match = clean
-            .iter()
-            .zip(&reports)
-            .all(|(c, f)| c.alerts == f.alerts && c.verdict == f.verdict);
+        // Fault-free reference over the same screened input, then the
+        // guarded run: each through its own registry, so only the faulty
+        // run's app health absorbs the panics.
+        let screened_stream = batch_stream("hospital", &screened.sessions, &screened.traces);
+        let monitor = |faults: Option<&FaultInjector>| -> (Vec<SessionReport>, Health) {
+            let profiles = ProfileRegistry::new().with_kernel(kernel_config);
+            profiles
+                .register("hospital", profile.clone())
+                .expect("profile validates");
+            let profiles = Arc::new(profiles);
+            let mut runtime = batch_runtime(&profiles, ScoringMode::ExactWindows);
+            if let Some(faults) = faults {
+                runtime = runtime.with_registry(&fault_registry).with_faults(faults);
+            }
+            runtime.ingest_stream(&screened_stream);
+            let health = profiles.health("hospital").expect("registered app");
+            (runtime.finish(), health.state())
+        };
+        let (clean, _) = monitor(None);
+        let (reports, health) = monitor(Some(&injector));
+        let recovered = fault_registry
+            .snapshot()
+            .counter("resilience.traces_recovered")
+            .unwrap_or(0);
+        let verdicts_match = clean.len() == reports.len()
+            && clean.iter().zip(&reports).all(|(c, f)| {
+                c.session == f.session && c.alerts == f.alerts && c.verdict == f.verdict
+            });
         assert!(
             verdicts_match,
             "fault-injected run changed a kept trace's verdict"
         );
-        assert_eq!(recovered as u64, injector.injected(sites::WORKER_PANIC));
-        assert_eq!(health.state(), Health::Degraded);
+        assert_eq!(recovered, injector.injected(sites::MONITOR_SWAP));
+        assert_eq!(health, Health::Degraded);
 
         // Queue-overflow fail point: stream the screened sessions through
         // a MonitorRuntime whose hard ingest bound is tripped by injected
@@ -679,9 +715,8 @@ fn main() {
         );
         println!(
             "worker panics injected: {}, recovered: {recovered}, verdicts match \
-             fault-free run: {verdicts_match}, health: {}",
-            injector.injected(sites::WORKER_PANIC),
-            health.state()
+             fault-free run: {verdicts_match}, health: {health}",
+            injector.injected(sites::MONITOR_SWAP),
         );
         println!(
             "queue overflows injected: {overflow_injected}, streaming verdicts match \
@@ -705,7 +740,7 @@ fn main() {
     // a session-multiplexed MonitorRuntime (incremental mode, sparse
     // kernel). Every session's alerts must be identical to a per-app
     // serial scan of its de-interleaved trace, and the multiplexed
-    // throughput is recorded against the per-app batched incremental
+    // throughput is recorded against the per-app unmultiplexed incremental
     // path over the exact same workload.
     let multiapp_fields = if multiapp {
         let sessions_per_app = 64;
@@ -795,17 +830,14 @@ fn main() {
         let multi_partition = flag_partition(&multi_reports);
         let multi_alerts: usize = multi_reports.iter().map(Vec::len).sum();
 
-        // Single-app baseline: the same traces through the per-app
-        // batched incremental path (sparse kernel, no multiplexing).
-        let detectors: Vec<(BatchDetector, &Vec<Vec<CallEvent>>)> = apps
+        // Single-app baseline: the same traces as one batch per app, each
+        // through its own runtime (incremental, sparse kernel, no
+        // multiplexing).
+        let app_streams: Vec<Vec<TaggedCall>> = apps
             .iter()
-            .map(|(_, traces, app_profile)| {
-                (
-                    BatchDetector::new(app_profile)
-                        .with_kernel(sparse_kernel)
-                        .with_mode(ScoringMode::Incremental),
-                    traces,
-                )
+            .map(|(name, traces, _)| {
+                let ids: Vec<String> = (0..traces.len()).map(|i| format!("{name}-{i}")).collect();
+                batch_stream(name, &ids, traces)
             })
             .collect();
 
@@ -830,10 +862,13 @@ fn main() {
             );
 
             let start = Instant::now();
-            let single_alerts: usize = detectors
+            let single_alerts: usize = app_streams
                 .iter()
-                .map(|(d, traces)| {
-                    d.detect_batch(traces)
+                .map(|app_stream| {
+                    let mut runtime = batch_runtime(&profiles, ScoringMode::Incremental);
+                    runtime.ingest_stream(app_stream);
+                    runtime
+                        .finish()
                         .iter()
                         .map(|r| r.alerts.len())
                         .sum::<usize>()
@@ -1801,9 +1836,10 @@ fn main() {
                 .unwrap_or(0),
         );
     }
-    if let Some(h) = snapshot.histograms.get("batch.trace_ns") {
+    if let Some(h) = snapshot.histograms.get("monitor.stage.score_ns") {
         println!(
-            "per-trace latency: p50 {:.0}ns p90 {:.0}ns p99 {:.0}ns max {}ns ({} traces)",
+            "per-session score latency: p50 {:.0}ns p90 {:.0}ns p99 {:.0}ns max {}ns \
+             ({} replays)",
             h.p50, h.p90, h.p99, h.max, h.count
         );
     }
@@ -1828,7 +1864,11 @@ fn main() {
     // The unified KernelStatus every detection path now reports: what was
     // asked for, what is actually scoring windows, and whether validation
     // forced a dense downgrade.
-    let kernel_status = exact.kernel_status();
+    let kernel_status = batch_profiles
+        .current("hospital")
+        .expect("registered app")
+        .kernel_status()
+        .clone();
     let entry = format!(
         "  {{\n    \"schema\": 2,\n    \"workload\": \"hospital\",\n    \
          \"mode\": \"{mode_label}\",\n    \"smoke\": {smoke},\n    \

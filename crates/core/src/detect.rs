@@ -14,8 +14,8 @@
 //!
 //! Both types in this module — the whole-trace [`DetectionEngine`] and the
 //! streaming [`OnlineDetector`] — are thin shells over the shared scoring
-//! core, [`crate::scorer::WindowScorer`]; so is
-//! [`BatchDetector`](crate::parallel::BatchDetector). There is exactly one
+//! core, [`crate::scorer::WindowScorer`]; so is the session-multiplexed
+//! [`MonitorRuntime`](crate::runtime::MonitorRuntime). There is exactly one
 //! forward-scoring / classification / observation path in the crate.
 
 use crate::profile::Profile;
@@ -86,8 +86,9 @@ impl fmt::Display for Flag {
     }
 }
 
-/// Which scoring kernel a [`DetectionEngine`] (or
-/// [`BatchDetector`](crate::parallel::BatchDetector)) runs per window.
+/// Which scoring kernel a [`DetectionEngine`] (or a
+/// [`ProfileRegistry`](crate::registry::ProfileRegistry) epoch) runs per
+/// window.
 ///
 /// `Sparse` with `epsilon = 0` and `Beam` off is *exact*: on smoothed
 /// profiles it produces bit-identical log-likelihoods to `Dense` in

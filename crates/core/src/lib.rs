@@ -15,10 +15,12 @@
 //! call windows and raises the paper's four flags (Normal / Anomalous /
 //! DataLeak / OutOfContext); [`detect::OnlineDetector`] does the same
 //! streaming, as a [`CallSink`](adprom_trace::CallSink). For monitoring
-//! many sessions at once, [`parallel::BatchDetector`] fans independent
-//! traces across a thread pool (deterministic, input-order output) and can
-//! score windows incrementally via
-//! [`SlidingForward`](adprom_hmm::SlidingForward).
+//! many sessions at once, [`runtime::MonitorRuntime`] demultiplexes an
+//! interleaved stream into per-session scorers, replays their buffered
+//! windows across a thread pool (deterministic, arrival-order output) and
+//! can score windows incrementally via
+//! [`SlidingForward`](adprom_hmm::SlidingForward); a batch of traces is
+//! that runtime fed one session per trace.
 //!
 //! Baselines (§V): [`baselines::build_cmarkov`] (static init, no data-flow
 //! labels, no caller tracking) and [`baselines::build_rand_hmm`] (random
@@ -33,7 +35,6 @@ pub mod detect;
 pub mod extensions;
 pub mod init;
 pub mod metrics;
-pub mod parallel;
 pub mod profile;
 pub mod registry;
 pub mod resilience;
@@ -52,7 +53,6 @@ pub use detect::{Alert, DetectionEngine, Flag, KernelConfig, OnlineDetector};
 pub use extensions::{ExtensionAlert, ExtensionKind, FileLabelMonitor, QuerySignatureMonitor};
 pub use init::{build_ctvs, init_from_pctm, InitConfig, InitializedModel};
 pub use metrics::{fn_rate_at_fp, roc_curve, Confusion, RocPoint};
-pub use parallel::{BatchDetector, ScoringMode, TraceReport, TraceStatus};
 pub use profile::{LoadPolicy, Profile, ProfileDefect, ProfileIoError};
 pub use registry::{ProfileEpoch, ProfileRegistry, SwapError};
 pub use resilience::{
@@ -63,14 +63,16 @@ pub use runtime::{
     fnv1a, IngestStatus, MonitorRuntime, OverloadConfig, RuntimeConfig, SessionEnd, SessionReport,
     ShedPolicy,
 };
-pub use scorer::{ForensicsConfig, KernelStatus, ScoringTier, SessionScorer, WindowScorer};
+pub use scorer::{
+    ForensicsConfig, KernelStatus, ScoringMode, ScoringTier, SessionScorer, WindowScorer,
+};
 pub use shard::{
     partition_stream, shard_for, verdict_partition, FrameIngest, ServiceCommand, ServiceResponse,
     ShardStatus, ShardTally, ShardedMonitor,
 };
 pub use telemetry::{
-    audit_record_from_alert, BatchMetrics, DetectMetrics, MonitorMetrics, RegistryMetrics,
-    ResilienceMetrics, ShardMetrics,
+    audit_record_from_alert, DetectMetrics, MonitorMetrics, RegistryMetrics, ResilienceMetrics,
+    ShardMetrics,
 };
 pub use threshold::{select_threshold, threshold_sweep, AdaptiveThreshold};
 pub use wire::{

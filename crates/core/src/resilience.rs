@@ -12,16 +12,17 @@
 //! `None` and every probe costs a single branch, so fail points stay in
 //! hot paths permanently (benchmarked by `benches/obs.rs`).
 //!
-//! Decisions are keyed (typically by trace index), never by wall clock or
-//! thread interleaving, so a fault schedule replays identically at any
-//! thread count — the property the `tests/resilience.rs` suite leans on
-//! to assert that non-quarantined traces score bit-identically to a
-//! fault-free run.
+//! Decisions are keyed (by trace index, session arrival index or ingest
+//! tick), never by wall clock or thread interleaving, so a fault schedule
+//! replays identically at any thread count — the property the
+//! `tests/resilience.rs` suite leans on to assert that non-quarantined
+//! traces score bit-identically to a fault-free run.
 //!
 //! [`HealthMonitor`] is the monotonic Healthy → Degraded → Failed state
-//! machine the detector surfaces through telemetry (`health.state`), and
-//! [`RetryPolicy`] bounds the per-trace retry/backoff/watchdog behavior
-//! of [`BatchDetector`](crate::parallel::BatchDetector).
+//! machine the pipeline surfaces through telemetry (`health.state`), and
+//! [`RetryPolicy`] bounds the per-session retry/backoff behavior of
+//! [`MonitorRuntime`](crate::runtime::MonitorRuntime) — the one
+//! panic-isolation path in the crate.
 
 use adprom_obs::{Gauge, Registry};
 use adprom_trace::CallEvent;
@@ -33,11 +34,6 @@ use std::time::Duration;
 
 /// Well-known fail-point site names.
 pub mod sites {
-    /// Panic a worker inside [`BatchDetector`](crate::parallel::BatchDetector)
-    /// before it scores a trace (keyed by trace index).
-    pub const WORKER_PANIC: &str = "batch.worker_panic";
-    /// Delay a worker's scoring pass (keyed by trace index).
-    pub const SLOW_SCORE: &str = "batch.slow_score";
     /// Corrupt one event of a trace during ingest (keyed by trace index).
     pub const INGEST_CORRUPT: &str = "ingest.corrupt_event";
     /// Truncate a trace to half its length during ingest.
@@ -67,11 +63,6 @@ pub enum FaultKind {
     Panic,
     /// Return an I/O error from a [`FaultyWriter`].
     IoError,
-    /// Sleep for this many milliseconds (a stuck/slow score).
-    SlowScore {
-        /// Injected delay.
-        millis: u64,
-    },
     /// Corrupt one event of the keyed trace (control byte + malformed
     /// DDG label — caught by ingest validation).
     CorruptEvent,
@@ -401,7 +392,7 @@ impl<W: Write> Write for FaultyWriter<W> {
 
 /// Pipeline health, coarsest first. Transitions are monotonic within a
 /// run: recovered faults (retries, quarantines, kernel downgrades,
-/// watchdog trips) reach `Degraded`; an unrecoverable trace reaches
+/// overload episodes) reach `Degraded`; an unrecoverable session reaches
 /// `Failed`. [`HealthMonitor::reset`] re-arms between runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Health {
@@ -521,17 +512,14 @@ impl HealthMonitor {
     }
 }
 
-/// Bounded retry behavior for [`BatchDetector`](crate::parallel::BatchDetector)
-/// workers.
+/// Bounded retry behavior for the per-session replays of
+/// [`MonitorRuntime`](crate::runtime::MonitorRuntime).
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Re-attempts after a panicked scoring pass (0 disables retry).
     pub max_retries: u32,
     /// Sleep before retry `k` is `backoff · 2^(k−1)`.
     pub backoff: Duration,
-    /// Per-trace wall-clock budget; exceeding it trips the watchdog
-    /// (recorded + degrades health; the result is still returned).
-    pub watchdog: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -539,18 +527,16 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 2,
             backoff: Duration::from_millis(5),
-            watchdog: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// No retries, no watchdog — every panic is terminal for its trace.
+    /// No retries — every panic is terminal for its session.
     pub fn none() -> RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             backoff: Duration::ZERO,
-            watchdog: None,
         }
     }
 }
@@ -562,7 +548,7 @@ mod tests {
     #[test]
     fn disabled_injector_hands_out_disabled_points() {
         let injector = FaultPlan::disabled().arm();
-        let point = injector.point(sites::WORKER_PANIC);
+        let point = injector.point(sites::MONITOR_SWAP);
         assert!(!point.is_armed());
         assert_eq!(point.fire(0), None);
         assert_eq!(injector.total_injected(), 0);
@@ -571,18 +557,18 @@ mod tests {
     #[test]
     fn once_for_keys_fires_once_per_key() {
         let plan = FaultPlan::new(7).inject(
-            sites::WORKER_PANIC,
+            sites::MONITOR_SWAP,
             FaultKind::Panic,
             Trigger::OnceForKeys([2u64, 5].into()),
         );
         let injector = plan.arm();
-        let point = injector.point(sites::WORKER_PANIC);
+        let point = injector.point(sites::MONITOR_SWAP);
         assert_eq!(point.fire(0), None);
         assert_eq!(point.fire(2), Some(FaultKind::Panic));
         // Retry of the same key does not re-fire.
         assert_eq!(point.fire(2), None);
         assert_eq!(point.fire(5), Some(FaultKind::Panic));
-        assert_eq!(injector.injected(sites::WORKER_PANIC), 2);
+        assert_eq!(injector.injected(sites::MONITOR_SWAP), 2);
     }
 
     #[test]
@@ -590,12 +576,12 @@ mod tests {
         let fires = |seed: u64| -> Vec<u64> {
             let injector = FaultPlan::new(seed)
                 .inject(
-                    sites::SLOW_SCORE,
-                    FaultKind::SlowScore { millis: 1 },
+                    sites::MONITOR_QUEUE_OVERFLOW,
+                    FaultKind::QueueOverflow,
                     Trigger::Ratio(0.3),
                 )
                 .arm();
-            let point = injector.point(sites::SLOW_SCORE);
+            let point = injector.point(sites::MONITOR_QUEUE_OVERFLOW);
             (0..64).filter(|&k| point.fire(k).is_some()).collect()
         };
         let a = fires(42);

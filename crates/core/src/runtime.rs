@@ -34,7 +34,6 @@
 //!   boundaries.
 
 use crate::detect::{Alert, Flag};
-use crate::parallel::panic_message;
 use crate::registry::ProfileRegistry;
 use crate::resilience::{sites, FailPoint, FaultInjector, FaultKind, Health, RetryPolicy};
 use crate::scorer::{
@@ -768,9 +767,11 @@ impl MonitorRuntime {
         }
         let total: usize = work.iter().map(|&i| self.slots[i].pending.len()).sum();
         let overloaded = total > budget;
-        self.metrics.overload_active.set(i64::from(overloaded));
+        // The gauge moves by ±1 on episode edges (never `set`), so shards
+        // sharing one registry sum to the number currently overloaded.
         if overloaded && !self.overload_episode {
             self.overload_episode = true;
+            self.metrics.overload_active.add(1);
             self.metrics.overload_episodes.inc();
             // Sorted app order: FnvMap iteration must never order an
             // externally visible effect.
@@ -784,8 +785,9 @@ impl MonitorRuntime {
                     ));
                 }
             }
-        } else if !overloaded {
+        } else if !overloaded && self.overload_episode {
             self.overload_episode = false;
+            self.metrics.overload_active.add(-1);
         }
     }
 
@@ -900,9 +902,8 @@ impl MonitorRuntime {
             .or_default()
             .insert(session.to_string(), arrival);
         self.metrics.sessions_opened.inc();
-        self.metrics
-            .sessions_active
-            .set(self.sessions_active() as i64);
+        // Deltas, not `set`: shards sharing one registry sum to the total.
+        self.metrics.sessions_active.add(1);
         Some(arrival)
     }
 
@@ -1117,9 +1118,12 @@ impl MonitorRuntime {
             SessionEnd::PressureEvicted => self.metrics.evictions_lru.inc(),
             SessionEnd::Failed(_) => {}
         }
-        self.metrics
-            .sessions_active
-            .set(self.sessions_active() as i64);
+        self.metrics.sessions_active.add(-1);
+        // The committed state carries the whole session's sliding
+        // accounting; a retried replay's discarded clone never reaches it.
+        let stats = slot.state.stats();
+        self.metrics.sliding_pushes.add(stats.pushes);
+        self.metrics.sliding_reanchors.add(stats.reanchors);
         if let Some(t0) = timer {
             self.metrics
                 .stage_finalize_ns
@@ -1176,6 +1180,17 @@ impl MonitorRuntime {
             Some(pool) => pool.install(op),
             None => op(),
         }
+    }
+}
+
+/// Best-effort rendering of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -1287,6 +1302,7 @@ mod tests {
         let profiles = two_app_registry();
         let sessions = demo_sessions();
         let stream = interleave(&sessions, 0xFEED);
+        let mut verdicts = Vec::new();
         for mode in [ScoringMode::ExactWindows, ScoringMode::Incremental] {
             let mut runtime =
                 MonitorRuntime::new(Arc::clone(&profiles)).with_config(RuntimeConfig {
@@ -1328,7 +1344,12 @@ mod tests {
                 .map(|r| (r.app.clone(), r.session.clone()))
                 .collect();
             assert_eq!(report_order, first_appearance);
+            verdicts.push(reports.iter().map(|r| r.verdict).collect::<Vec<_>>());
         }
+        // The demo traces sit far from their thresholds, so exact and
+        // incremental scoring agree on every session's verdict.
+        assert_eq!(verdicts[0], verdicts[1]);
+        assert!(verdicts[0].contains(&Flag::DataLeak) && verdicts[0].contains(&Flag::Anomalous));
     }
 
     #[test]
@@ -1591,29 +1612,42 @@ mod tests {
 
     #[test]
     fn stage_histograms_populate_under_a_live_registry() {
-        let obs = Registry::new();
-        let mut runtime = MonitorRuntime::new(two_app_registry()).with_registry(&obs);
         let stream = interleave(&demo_sessions(), 0xBEEF);
-        runtime.ingest_stream(&stream);
-        runtime.finish();
         let events: u64 = demo_sessions().iter().map(|(_, _, t)| t.len() as u64).sum();
-        assert_eq!(obs.histogram("monitor.stage.ingest_ns").count(), events);
-        assert_eq!(
-            obs.histogram("monitor.stage.score_ns").count(),
-            demo_sessions().len() as u64
-        );
-        assert_eq!(
-            obs.histogram("monitor.stage.commit_ns").count(),
-            demo_sessions().len() as u64
-        );
-        assert_eq!(
-            obs.histogram("monitor.stage.finalize_ns").count(),
-            demo_sessions().len() as u64
-        );
-        assert_eq!(
-            obs.snapshot().gauge("monitor.flush.batch_sessions"),
-            Some(demo_sessions().len() as i64)
-        );
+        let sessions = demo_sessions().len() as u64;
+        for mode in [ScoringMode::ExactWindows, ScoringMode::Incremental] {
+            let obs = Registry::new();
+            let mut runtime = MonitorRuntime::new(two_app_registry())
+                .with_registry(&obs)
+                .with_config(RuntimeConfig {
+                    mode,
+                    ..RuntimeConfig::default()
+                });
+            runtime.ingest_stream(&stream);
+            runtime.finish();
+            assert_eq!(obs.histogram("monitor.stage.ingest_ns").count(), events);
+            assert_eq!(obs.histogram("monitor.stage.score_ns").count(), sessions);
+            assert_eq!(obs.histogram("monitor.stage.commit_ns").count(), sessions);
+            assert_eq!(obs.histogram("monitor.stage.finalize_ns").count(), sessions);
+            let snap = obs.snapshot();
+            assert_eq!(
+                snap.gauge("monitor.flush.batch_sessions"),
+                Some(sessions as i64)
+            );
+            assert_eq!(snap.gauge("monitor.sessions.active"), Some(0));
+            let flags = ["normal", "anomalous", "data_leak", "out_of_context"]
+                .map(|f| snap.counter(&format!("detect.flags.{f}")).unwrap());
+            assert_eq!(
+                snap.counter("detect.windows_scored"),
+                Some(flags.iter().sum())
+            );
+            // Every admitted event went through a sliding scorer in
+            // incremental mode (none in exact mode); the smoothed cyclic
+            // profile never re-anchors.
+            let pushes = events * u64::from(mode == ScoringMode::Incremental);
+            assert_eq!(snap.counter("sliding.pushes"), Some(pushes));
+            assert_eq!(snap.counter("sliding.reanchors"), Some(0));
+        }
     }
 
     #[test]
@@ -1852,7 +1886,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_retries: 1,
                 backoff: std::time::Duration::ZERO,
-                watchdog: None,
             });
         // Trigger::Always panics every flush attempt: retries cannot save
         // this session.
@@ -1866,5 +1899,36 @@ mod tests {
         assert!(reports[0].alerts.is_empty());
         assert_eq!(reports[0].verdict, Flag::Normal);
         assert_eq!(profiles.health("bank").unwrap().state(), Health::Failed);
+
+        // Without retries, a keyed panic fails its session only: the
+        // session flushed beside it still scores.
+        let obs = Registry::new();
+        let injector = FaultPlan::new(13)
+            .inject(
+                sites::MONITOR_SWAP,
+                FaultKind::Panic,
+                Trigger::OnceForKeys([0u64].into()),
+            )
+            .arm();
+        let mut runtime = MonitorRuntime::new(two_app_registry())
+            .with_registry(&obs)
+            .with_faults(&injector)
+            .with_retry(RetryPolicy::none());
+        for session in ["s-dead", "s-live"] {
+            for event in trace_of(&["b", "a", "a"]) {
+                runtime.ingest(&TaggedCall {
+                    app: "bank".into(),
+                    session: session.into(),
+                    event,
+                });
+            }
+        }
+        let reports = runtime.finish();
+        assert!(matches!(reports[0].end, SessionEnd::Failed(_)));
+        assert_eq!(reports[1].end, SessionEnd::Finished);
+        assert_eq!(reports[1].verdict, Flag::Anomalous);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("resilience.traces_failed"), Some(1));
+        assert_eq!(snap.gauge("monitor.sessions.active"), Some(0));
     }
 }

@@ -5,7 +5,7 @@
 //! (dense / sparse CSR / beam), the detection threshold, metric handles,
 //! and an optional audit log. [`DetectionEngine`](crate::detect::DetectionEngine),
 //! [`OnlineDetector`](crate::detect::OnlineDetector), and
-//! [`BatchDetector`](crate::parallel::BatchDetector) are thin shells over
+//! [`MonitorRuntime`](crate::runtime::MonitorRuntime) are thin shells over
 //! it: every forward pass, every [`Flag::classify`] decision, and every
 //! metrics/audit observation in the crate funnels through this one type,
 //! so the three paths cannot drift apart.

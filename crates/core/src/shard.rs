@@ -746,6 +746,21 @@ mod tests {
             Health::Healthy,
             "backpressure is not degradation"
         );
+        // Sessions live on both shards: the shared gauge reads the service
+        // total, not whichever shard wrote it last.
+        for i in 0..12 {
+            monitor.ingest(&TaggedCall {
+                app: "bank".to_string(),
+                session: format!("s-{i}"),
+                event: event("a", "main"),
+            });
+        }
+        assert!(monitor.snapshot().iter().all(|s| s.sessions_active > 0));
+        assert_eq!(monitor.sessions_active(), 13);
+        assert_eq!(
+            obs.snapshot().gauge("monitor.sessions.active"),
+            Some(monitor.sessions_active() as i64)
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Handles are acquired once (taking the registry's registration lock) and
 //! cloned freely afterwards — clones share the underlying atomics, so a
-//! [`BatchDetector`](crate::parallel::BatchDetector) can hand one set of
+//! [`MonitorRuntime`](crate::runtime::MonitorRuntime) can hand one set of
 //! handles to every rayon worker. Everything defaults to the disabled
 //! (no-op) state: a [`DetectionEngine`](crate::detect::DetectionEngine)
 //! built without [`with_registry`](crate::detect::DetectionEngine::with_registry)
@@ -29,7 +29,7 @@ pub struct DetectMetrics {
     pub flags_out_of_context: Counter,
     /// `detect.score_ns` — wall-clock nanoseconds of the per-window
     /// forward scoring pass (exact mode only; incremental scoring is
-    /// per-event, timed at trace granularity by [`BatchMetrics`]).
+    /// per-event, timed per session replay by `monitor.stage.score_ns`).
     pub score_ns: Histogram,
     /// `detect.kernel.dense` — flagged windows scored by the dense O(N²)
     /// kernel.
@@ -119,54 +119,11 @@ impl DetectMetrics {
     }
 }
 
-/// Metric handles for [`BatchDetector`](crate::parallel::BatchDetector):
-/// per-trace latency, rayon task accounting, scoring-mode counters, and
-/// the [`SlidingForward`](adprom_hmm::SlidingForward) re-anchor totals
-/// surfaced from [`adprom_hmm::SlidingStats`].
-#[derive(Debug, Clone, Default)]
-pub struct BatchMetrics {
-    /// `batch.batches` — `detect_batch` / `detect_sessions` invocations.
-    pub batches: Counter,
-    /// `batch.tasks_spawned` — traces fanned out to the rayon pool.
-    pub tasks_spawned: Counter,
-    /// `batch.trace_ns` — wall-clock nanoseconds to score one trace.
-    pub trace_ns: Histogram,
-    /// `batch.mode.exact_windows` — traces scored with the full
-    /// per-window forward recompute.
-    pub mode_exact: Counter,
-    /// `batch.mode.incremental` — traces scored with the sliding scorer.
-    pub mode_incremental: Counter,
-    /// `sliding.pushes` — events fed through sliding scorers.
-    pub sliding_pushes: Counter,
-    /// `sliding.reanchors` — exact-recompute fallbacks the sliding
-    /// scorers took (0 for smoothed profiles).
-    pub sliding_reanchors: Counter,
-}
-
-impl BatchMetrics {
-    /// All-no-op handles (the default).
-    pub fn disabled() -> BatchMetrics {
-        BatchMetrics::default()
-    }
-
-    /// Registers every handle against `registry`.
-    pub fn from_registry(registry: &Registry) -> BatchMetrics {
-        BatchMetrics {
-            batches: registry.counter("batch.batches"),
-            tasks_spawned: registry.counter("batch.tasks_spawned"),
-            trace_ns: registry.histogram("batch.trace_ns"),
-            mode_exact: registry.counter("batch.mode.exact_windows"),
-            mode_incremental: registry.counter("batch.mode.incremental"),
-            sliding_pushes: registry.counter("sliding.pushes"),
-            sliding_reanchors: registry.counter("sliding.reanchors"),
-        }
-    }
-}
-
 /// Metric handles for the resilience layer of
-/// [`BatchDetector`](crate::parallel::BatchDetector): panic isolation,
-/// retries, the watchdog, and kernel downgrades. The `health.state` gauge
-/// itself is owned by [`HealthMonitor`](crate::resilience::HealthMonitor).
+/// [`MonitorRuntime`](crate::runtime::MonitorRuntime): panic isolation and
+/// bounded retry of per-session replays. Health itself lives in the
+/// per-app [`HealthMonitor`](crate::resilience::HealthMonitor)s of the
+/// [`ProfileRegistry`](crate::registry::ProfileRegistry).
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceMetrics {
     /// `resilience.worker_panics` — scoring attempts that panicked and
@@ -174,18 +131,12 @@ pub struct ResilienceMetrics {
     pub worker_panics: Counter,
     /// `resilience.trace_retries` — re-attempts after a caught panic.
     pub trace_retries: Counter,
-    /// `resilience.traces_recovered` — traces that succeeded on a retry.
+    /// `resilience.traces_recovered` — session replays that succeeded on
+    /// a retry.
     pub traces_recovered: Counter,
-    /// `resilience.traces_failed` — traces abandoned after exhausting
-    /// retries (no verdict produced).
+    /// `resilience.traces_failed` — session replays abandoned after
+    /// exhausting retries (the session closes as failed).
     pub traces_failed: Counter,
-    /// `resilience.watchdog_trips` — traces whose scoring exceeded the
-    /// [`RetryPolicy::watchdog`](crate::resilience::RetryPolicy::watchdog)
-    /// budget.
-    pub watchdog_trips: Counter,
-    /// `resilience.kernel_fallbacks` — sparse/beam kernels refused by CSR
-    /// validation and downgraded to dense.
-    pub kernel_fallbacks: Counter,
 }
 
 impl ResilienceMetrics {
@@ -201,8 +152,6 @@ impl ResilienceMetrics {
             trace_retries: registry.counter("resilience.trace_retries"),
             traces_recovered: registry.counter("resilience.traces_recovered"),
             traces_failed: registry.counter("resilience.traces_failed"),
-            watchdog_trips: registry.counter("resilience.watchdog_trips"),
-            kernel_fallbacks: registry.counter("resilience.kernel_fallbacks"),
         }
     }
 }
@@ -248,7 +197,7 @@ impl RegistryMetrics {
 #[derive(Debug, Clone, Default)]
 pub struct MonitorMetrics {
     /// `monitor.sessions.active` — sessions currently resident in the
-    /// session table.
+    /// session table (±1 deltas, so shards sharing a registry sum).
     pub sessions_active: Gauge,
     /// `monitor.sessions.opened` — sessions admitted to the table.
     pub sessions_opened: Counter,
@@ -312,11 +261,18 @@ pub struct MonitorMetrics {
     /// backpressure signal: the caller stalls for one flush).
     pub backpressure_flushes: Counter,
     /// `monitor.overload.active` — 1 while the pending load exceeds the
-    /// configured risk budget, 0 once a flush drains back under it.
+    /// configured risk budget, 0 once a flush drains back under it (±1
+    /// on episode edges, so over shards it counts those overloaded).
     pub overload_active: Gauge,
     /// `monitor.overload.episodes` — transitions from under-budget to
     /// over-budget (distinct overload episodes, not per-event).
     pub overload_episodes: Counter,
+    /// `sliding.pushes` — events fed through the sliding scorers of closed
+    /// sessions (incremental mode; 0 in exact mode).
+    pub sliding_pushes: Counter,
+    /// `sliding.reanchors` — exact-recompute fallbacks those sliding
+    /// scorers took (0 for smoothed profiles).
+    pub sliding_reanchors: Counter,
 }
 
 impl MonitorMetrics {
@@ -351,6 +307,8 @@ impl MonitorMetrics {
             backpressure_flushes: registry.counter("monitor.backpressure.flushes"),
             overload_active: registry.gauge("monitor.overload.active"),
             overload_episodes: registry.counter("monitor.overload.episodes"),
+            sliding_pushes: registry.counter("sliding.pushes"),
+            sliding_reanchors: registry.counter("sliding.reanchors"),
         }
     }
 }
@@ -481,8 +439,8 @@ mod tests {
         metrics.windows_scored.inc();
         assert_eq!(metrics.windows_scored.get(), 0);
         assert!(!metrics.score_ns.is_enabled());
-        let batch = BatchMetrics::disabled();
-        batch.sliding_reanchors.add(5);
-        assert_eq!(batch.sliding_reanchors.get(), 0);
+        let monitor = MonitorMetrics::disabled();
+        monitor.sliding_reanchors.add(5);
+        assert_eq!(monitor.sliding_reanchors.get(), 0);
     }
 }

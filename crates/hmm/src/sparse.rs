@@ -275,8 +275,9 @@ impl SparseTransitions {
     ///
     /// [`from_hmm`](SparseTransitions::from_hmm) performs no validation —
     /// a poisoned matrix (NaN rows, sums far from 1) silently yields a
-    /// kernel that scores garbage. Resilience-aware callers (the
-    /// `BatchDetector` degraded-mode fallback) use this entry point and
+    /// kernel that scores garbage. Resilience-aware callers (adprom-core's
+    /// validated kernel build behind `WindowScorer::with_kernel_validated`
+    /// and `ProfileRegistry::register`) use this entry point and
     /// downgrade to the dense kernel on `Err`.
     pub fn try_from_hmm(
         hmm: &Hmm,

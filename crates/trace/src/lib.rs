@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod collector;
 mod host;
 pub mod interleave;
@@ -22,7 +21,6 @@ pub mod validate;
 pub mod value;
 pub mod vm;
 
-pub use batch::{BatchCollector, SessionSink};
 pub use collector::{sliding_windows, CallEvent, CallSink, NullSink, TraceCollector};
 pub use host::format_printf;
 pub use interleave::{deinterleave, interleave, InterleavedCollector, SessionTap, TaggedCall};

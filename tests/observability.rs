@@ -4,8 +4,12 @@
 //! and the metrics registry must account for every window scored.
 
 use adprom::analysis::analyze;
-use adprom::core::{build_profile, BatchDetector, ConstructorConfig, DetectionEngine, Flag};
+use adprom::core::{
+    build_profile, ConstructorConfig, DetectionEngine, Flag, MonitorRuntime, ProfileRegistry,
+    RuntimeConfig,
+};
 use adprom::obs::{AuditLog, AuditRecord, MemoryAuditSink, MetricsSnapshot, Registry};
+use adprom::trace::TaggedCall;
 use adprom::workloads::banking;
 use std::sync::Arc;
 
@@ -89,16 +93,40 @@ fn banking_attack_audit_records_roundtrip_and_reproduce_flags() {
     let reparsed = MetricsSnapshot::from_json(&snap.to_json()).expect("snapshot JSON parses");
     assert_eq!(reparsed.counters, snap.counters);
 
-    // Same workload through the batched path: session ids flow into the
-    // reports and into a fresh audit trail.
+    // Same workload through the monitor runtime as a one-trace batch:
+    // the session id flows into the report and into a fresh audit trail,
+    // stamped with the app and its pinned epoch.
+    let profiles = ProfileRegistry::new();
+    profiles
+        .register("App_b", profile.clone())
+        .expect("profile validates");
     let batch_sink = Arc::new(MemoryAuditSink::new());
-    let detector =
-        BatchDetector::new(&profile).with_audit(Arc::new(AuditLog::new(batch_sink.clone())));
-    let sessions = vec!["teller-7".to_string()];
-    let reports = detector.detect_sessions(&sessions, &[attack_trace]);
-    assert_eq!(reports[0].session.as_deref(), Some("teller-7"));
+    let mut runtime = MonitorRuntime::new(Arc::new(profiles))
+        .with_config(RuntimeConfig {
+            max_sessions: 0,
+            queue_capacity: 0,
+            ..RuntimeConfig::default()
+        })
+        .with_audit(Arc::new(AuditLog::new(batch_sink.clone())));
+    for event in attack_trace {
+        runtime.ingest(&TaggedCall {
+            app: "App_b".to_string(),
+            session: "teller-7".to_string(),
+            event,
+        });
+    }
+    let reports = runtime.finish();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].session, "teller-7");
+    assert_eq!(reports[0].alerts, alerts, "runtime replays the engine scan");
     assert_ne!(reports[0].verdict, Flag::Normal);
     let batch_records = batch_sink.records();
     assert_eq!(batch_records.len(), records.len());
-    assert!(batch_records.iter().all(|r| r.session == "teller-7"));
+    for (batched, scanned) in batch_records.iter().zip(&records) {
+        assert_eq!(batched.session, "teller-7");
+        assert_eq!((batched.app.as_str(), batched.epoch), ("App_b", 1));
+        assert_eq!(batched.seq, scanned.seq);
+        assert_eq!(batched.flag, scanned.flag);
+        assert_eq!(batched.window, scanned.window);
+    }
 }

@@ -1,14 +1,18 @@
 //! Property-based tests over the core invariants, driven by proptest.
 
 use adprom::analysis::{analyze, CallLabel};
-use adprom::core::{strip_label, Alphabet, BatchDetector, DetectionEngine, Profile, ScoringMode};
+use adprom::core::{
+    strip_label, Alert, Alphabet, DetectionEngine, KernelConfig, MonitorRuntime, Profile,
+    ProfileRegistry, RuntimeConfig, ScoringMode,
+};
 use adprom::db::{Database, Value};
-use adprom::hmm::{log_likelihood, Hmm};
+use adprom::hmm::{log_likelihood, Hmm, SparseConfig};
 use adprom::lang::{parse_program, pretty_program, CallSiteId, LibCall};
-use adprom::trace::{sliding_windows, CallEvent};
+use adprom::trace::{sliding_windows, CallEvent, TaggedCall};
 use adprom::workloads::sir::{generate_program, SirSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn arb_spec() -> impl Strategy<Value = SirSpec> {
     (1usize..6, 1usize..5, 0usize..4, 0.0f64..1.0, any::<u64>()).prop_map(
@@ -143,12 +147,15 @@ proptest! {
         assert_eq!(r.rows().unwrap().get_value(0, 0).unwrap(), "1");
     }
 
-    /// The parallel batch detector in ExactWindows mode is byte-identical
-    /// to a serial DetectionEngine loop: same alerts (including exact
-    /// floating-point scores), same order, for arbitrary batches against
-    /// arbitrary profiles.
+    /// A batch of traces fed to the monitor runtime one session per trace
+    /// (replayed in one parallel flush at `finish`) is byte-identical in
+    /// ExactWindows mode to a serial DetectionEngine loop: same alerts
+    /// (including exact floating-point scores), same order, for arbitrary
+    /// batches against arbitrary profiles. An empty trace opens no session
+    /// and counts as zero alerts. Through a sparse-kernel registry (ε = 0)
+    /// every window keeps its dense flag, in both scoring modes.
     #[test]
-    fn batch_detector_matches_serial_engine(
+    fn runtime_batch_matches_serial_engine(
         seed in any::<u64>(),
         window in 1usize..6,
         threshold in -60.0f64..0.0,
@@ -186,25 +193,68 @@ proptest! {
             })
             .collect();
 
-        let reports = BatchDetector::new(&profile).detect_batch(&batch);
+        // Trace i is session `i`: unique ids keep the runtime from merging
+        // traces, and the ids map reports back to input positions.
+        let stream: Vec<TaggedCall> = batch
+            .iter()
+            .enumerate()
+            .flat_map(|(i, trace)| {
+                trace.iter().map(move |event| TaggedCall {
+                    app: "prop".into(),
+                    session: i.to_string(),
+                    event: event.clone(),
+                })
+            })
+            .collect();
+        let run = |kernel: KernelConfig, mode: ScoringMode| -> Vec<Vec<Alert>> {
+            let profiles = ProfileRegistry::new().with_kernel(kernel);
+            profiles.register("prop", profile.clone()).expect("profile validates");
+            let mut runtime = MonitorRuntime::new(Arc::new(profiles)).with_config(RuntimeConfig {
+                mode,
+                max_sessions: 0,
+                queue_capacity: 0,
+                ..RuntimeConfig::default()
+            });
+            runtime.ingest_stream(&stream);
+            let mut alerts = vec![Vec::new(); batch.len()];
+            for report in runtime.finish() {
+                alerts[report.session.parse::<usize>().expect("numeric session")] = report.alerts;
+            }
+            alerts
+        };
+
+        let exact = run(KernelConfig::Dense, ScoringMode::ExactWindows);
         let engine = DetectionEngine::new(&profile);
-        prop_assert_eq!(reports.len(), batch.len());
         for (i, trace) in batch.iter().enumerate() {
-            prop_assert_eq!(reports[i].index, i);
             let serial = engine.scan(trace);
-            prop_assert_eq!(&reports[i].alerts, &serial, "trace {}", i);
+            prop_assert_eq!(&exact[i], &serial, "trace {}", i);
             // Debug formatting round-trips every f64 digit: equal strings
             // mean bit-identical scores, not approximately-equal ones.
-            prop_assert_eq!(format!("{:?}", reports[i].alerts), format!("{serial:?}"));
+            prop_assert_eq!(format!("{:?}", exact[i]), format!("{serial:?}"));
         }
 
         // Incremental mode must agree on the window partitioning even
         // though its scores are conditional.
-        let incremental = BatchDetector::new(&profile)
-            .with_mode(ScoringMode::Incremental)
-            .detect_batch(&batch);
-        for (e, inc) in reports.iter().zip(&incremental) {
-            prop_assert_eq!(e.alerts.len(), inc.alerts.len());
+        let incremental = run(KernelConfig::Dense, ScoringMode::Incremental);
+        for (e, inc) in exact.iter().zip(&incremental) {
+            prop_assert_eq!(e.len(), inc.len());
+            for (ae, ai) in e.iter().zip(inc) {
+                prop_assert_eq!(&ae.window, &ai.window);
+            }
+        }
+
+        // The sparse kernel sums in a different order: scores agree to
+        // 1e-9, flags and windows exactly.
+        let sparse = KernelConfig::Sparse { sparse: SparseConfig::default() };
+        let modes = [ScoringMode::ExactWindows, ScoringMode::Incremental];
+        for (mode, dense) in modes.into_iter().zip([&exact, &incremental]) {
+            for (d, s) in dense.iter().zip(&run(sparse, mode)) {
+                prop_assert_eq!(d.len(), s.len());
+                for (da, sa) in d.iter().zip(s) {
+                    prop_assert_eq!((da.flag, &da.window), (sa.flag, &sa.window), "{:?}", mode);
+                    prop_assert!((da.log_likelihood - sa.log_likelihood).abs() < 1e-9);
+                }
+            }
         }
     }
 

@@ -1,18 +1,20 @@
 //! Fault-tolerance end-to-end: the banking workload monitored under a
-//! deterministic [`FaultPlan`] (a corrupt ingested trace, injected worker
-//! panics, a torn audit tail) must quarantine exactly the corrupt trace and
-//! produce verdicts identical to a fault-free run for everything else, and
-//! audit recovery must preserve every record written before the tear.
+//! deterministic [`FaultPlan`] (a corrupt ingested trace, injected panics
+//! in the monitor's session replays, a torn audit tail) must quarantine
+//! exactly the corrupt trace and produce verdicts identical to a
+//! fault-free run for everything else, and audit recovery must preserve
+//! every record written before the tear.
 
 use adprom::analysis::analyze;
 use adprom::core::resilience::sites;
 use adprom::core::{
-    build_profile, BatchDetector, ConstructorConfig, FaultKind, FaultPlan, Health, HealthMonitor,
-    KernelConfig, Profile, TraceStatus, Trigger,
+    build_profile, ConstructorConfig, FaultInjector, FaultKind, FaultPlan, Health, KernelConfig,
+    MonitorRuntime, Profile, ProfileRegistry, RuntimeConfig, SessionEnd, SessionReport, Trigger,
+    WindowScorer,
 };
 use adprom::hmm::{Hmm, SparseConfig};
 use adprom::obs::{AuditLog, AuditRecord, AuditSink, DurableAuditSink, Registry};
-use adprom::trace::TraceValidator;
+use adprom::trace::{CallEvent, TaggedCall, TraceValidator};
 use adprom::workloads::banking;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -84,6 +86,41 @@ fn tiny_profile() -> Profile {
     }
 }
 
+/// Scores a batch of traces through the monitor runtime, one session per
+/// trace (`sessions[i]` names trace `i`), replayed in one parallel flush
+/// at `finish`. Reports come back in arrival order; an empty trace opens
+/// no session.
+fn monitor_batch(
+    profiles: &Arc<ProfileRegistry>,
+    sessions: &[String],
+    traces: &[Vec<CallEvent>],
+    audit: Option<Arc<AuditLog>>,
+    registry: &Registry,
+    faults: &FaultInjector,
+) -> Vec<SessionReport> {
+    let mut runtime = MonitorRuntime::new(Arc::clone(profiles))
+        .with_config(RuntimeConfig {
+            max_sessions: 0,
+            queue_capacity: 0,
+            ..RuntimeConfig::default()
+        })
+        .with_registry(registry)
+        .with_faults(faults);
+    if let Some(audit) = audit {
+        runtime = runtime.with_audit(audit);
+    }
+    for (session, trace) in sessions.iter().zip(traces) {
+        for event in trace {
+            runtime.ingest(&TaggedCall {
+                app: "App_b".to_string(),
+                session: session.clone(),
+                event: event.clone(),
+            });
+        }
+    }
+    runtime.finish()
+}
+
 #[test]
 fn banking_under_faults_matches_fault_free_run() {
     quiet_injected_panics();
@@ -103,12 +140,29 @@ fn banking_under_faults_matches_fault_free_run() {
     batch.push(workload.run_case(&banking::injection_case(), &analysis.site_labels));
     let sessions: Vec<String> = (0..batch.len()).map(|i| format!("conn-{i}")).collect();
 
-    // Fault-free baseline, serial reference order.
-    let baseline = BatchDetector::new(&profile).detect_sessions(&sessions, &batch);
+    // Fault-free baseline: its own registry, so its health stays clean.
+    let clean_profiles = ProfileRegistry::new();
+    clean_profiles
+        .register("App_b", profile.clone())
+        .expect("profile validates");
+    let baseline = monitor_batch(
+        &Arc::new(clean_profiles),
+        &sessions,
+        &batch,
+        None,
+        &Registry::disabled(),
+        &FaultPlan::disabled().arm(),
+    );
+    assert_eq!(baseline.len(), batch.len(), "no empty traces");
 
     // ---- Fault run -------------------------------------------------------
     let registry = Registry::new();
-    let health = HealthMonitor::with_registry(&registry);
+    let profiles = ProfileRegistry::new();
+    profiles
+        .register("App_b", profile.clone())
+        .expect("profile validates");
+    let profiles = Arc::new(profiles);
+    // Panics are keyed by session arrival: the 1st and 4th kept traces.
     let injector = FaultPlan::new(42)
         .inject(
             sites::INGEST_CORRUPT,
@@ -116,7 +170,7 @@ fn banking_under_faults_matches_fault_free_run() {
             Trigger::OnceForKeys([2u64].into()),
         )
         .inject(
-            sites::WORKER_PANIC,
+            sites::MONITOR_SWAP,
             FaultKind::Panic,
             Trigger::OnceForKeys([0u64, 3].into()),
         )
@@ -139,31 +193,43 @@ fn banking_under_faults_matches_fault_free_run() {
     assert_eq!(report.valid_records, 0);
     let audit = Arc::new(AuditLog::new(Arc::new(sink)));
 
-    let detector = BatchDetector::new(&profile)
-        .with_registry(&registry)
-        .with_health(health.clone())
-        .with_audit(Arc::clone(&audit))
-        .with_faults(&injector);
-    let reports = detector.detect_sessions(&screened.sessions, &screened.traces);
+    let reports = monitor_batch(
+        &profiles,
+        &screened.sessions,
+        &screened.traces,
+        Some(Arc::clone(&audit)),
+        &registry,
+        &injector,
+    );
 
-    // Both injected panics were retried and recovered.
-    assert_eq!(injector.injected(sites::WORKER_PANIC), 2);
-    assert_eq!(reports[0].status, TraceStatus::Recovered(1));
-    assert_eq!(reports[3].status, TraceStatus::Recovered(1));
+    // Both injected panics were retried and recovered; the app's health
+    // records the absorbed faults.
+    assert_eq!(injector.injected(sites::MONITOR_SWAP), 2);
+    assert!(reports.iter().all(|r| r.end == SessionEnd::Finished));
+    let health = profiles.health("App_b").expect("registered app");
     assert_eq!(health.state(), Health::Degraded);
+    assert_eq!(
+        health
+            .reasons()
+            .iter()
+            .filter(|r| r.contains("recovered after 1 retry"))
+            .count(),
+        2
+    );
 
     // Every non-quarantined trace gets the verdict of the fault-free run.
     assert_eq!(reports.len(), screened.kept_indices.len());
     for (report, &orig) in reports.iter().zip(&screened.kept_indices) {
+        assert_eq!(report.session, baseline[orig].session);
         assert_eq!(report.alerts, baseline[orig].alerts, "trace {orig}");
         assert_eq!(report.verdict, baseline[orig].verdict, "trace {orig}");
     }
 
     let snap = registry.snapshot();
     assert_eq!(snap.counter("ingest.traces_quarantined"), Some(1));
+    assert_eq!(snap.counter("resilience.worker_panics"), Some(2));
     assert_eq!(snap.counter("resilience.traces_recovered"), Some(2));
     assert_eq!(snap.counter("resilience.traces_failed"), Some(0));
-    assert_eq!(snap.gauge("health.state"), Some(1));
 
     // ---- Torn-tail recovery ----------------------------------------------
     // A crash mid-write leaves a partial frame; reopening must truncate it
@@ -210,15 +276,34 @@ fn degraded_mode_dense_fallback_is_bit_identical_to_dense() {
         vec![event("b"), event("b"), event("a")],
     ];
 
-    let degraded = BatchDetector::new(&profile).with_kernel(KernelConfig::Sparse {
-        sparse: SparseConfig::default(),
-    });
-    assert_eq!(degraded.kernel_label(), "dense");
-    let reason = degraded.kernel_fallback().expect("downgrade surfaced");
+    let profile = Arc::new(profile);
+    let degraded =
+        WindowScorer::new(Arc::clone(&profile)).with_kernel_validated(KernelConfig::Sparse {
+            sparse: SparseConfig::default(),
+        });
+    let status = degraded.status();
+    assert_eq!(
+        (status.requested.as_str(), status.effective.as_str()),
+        ("sparse", "dense")
+    );
+    let reason = status
+        .fallback_reason
+        .as_deref()
+        .expect("downgrade surfaced");
     assert!(reason.contains("dense"), "{reason}");
 
-    let dense = BatchDetector::new(&profile);
-    assert_eq!(dense.detect_batch(&batch), degraded.detect_batch(&batch));
+    // Degraded mode is bit-identical to dense, in both scoring modes.
+    let dense = WindowScorer::new(profile);
+    for trace in &batch {
+        assert_eq!(
+            format!("{:?}", dense.scan(trace, "s")),
+            format!("{:?}", degraded.scan(trace, "s"))
+        );
+        assert_eq!(
+            format!("{:?}", dense.scan_incremental(trace, "s").0),
+            format!("{:?}", degraded.scan_incremental(trace, "s").0)
+        );
+    }
 }
 
 proptest! {
