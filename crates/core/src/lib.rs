@@ -17,7 +17,8 @@
 //! streaming, as a [`CallSink`](adprom_trace::CallSink). For monitoring
 //! many sessions at once, [`runtime::MonitorRuntime`] demultiplexes an
 //! interleaved stream into per-session scorers, replays their buffered
-//! windows across a thread pool (deterministic, arrival-order output) and
+//! windows across a thread pool (deterministic, arrival-order output),
+//! scores each distinct exact-mode window once per profile epoch, and
 //! can score windows incrementally via
 //! [`SlidingForward`](adprom_hmm::SlidingForward); a batch of traces is
 //! that runtime fed one session per trace.

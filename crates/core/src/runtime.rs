@@ -24,21 +24,24 @@
 //!   eviction decisions depend on logical event ticks — never on thread
 //!   count, wall-clock time, or scheduling. Worker panics are caught and
 //!   retried per session batch; a retried panic cannot duplicate audit
-//!   records (writes happen only at serial commit).
+//!   records (writes happen only at serial commit). The exact-mode
+//!   window-score memo follows the same rule: workers read it as it
+//!   stood at flush start, and only the serial commit adds to it.
 //! * **Bounded memory.** The session table holds at most
 //!   [`RuntimeConfig::max_sessions`] live sessions (admitting a new one
 //!   evicts the least-recently-active) and at most
 //!   [`RuntimeConfig::queue_capacity`] buffered events (hitting the bound
 //!   flushes the scoring pool — backpressure, not growth). Sessions idle
 //!   for [`RuntimeConfig::idle_timeout`] ticks are finalized at flush
-//!   boundaries.
+//!   boundaries. The window-score memos hold at most 16,384 entries in
+//!   all.
 
 use crate::detect::{Alert, Flag};
 use crate::registry::ProfileRegistry;
 use crate::resilience::{sites, FailPoint, FaultInjector, FaultKind, Health, RetryPolicy};
 use crate::scorer::{
-    gap_micronats, ForensicsConfig, KernelStatus, ScoringMode, ScoringTier, SessionScorer,
-    TierStamp, WindowEvent, WindowScorer,
+    gap_micronats, ForensicsConfig, KernelStatus, MemoDelta, ScoringMode, ScoringTier,
+    SessionScorer, TierStamp, WindowEvent, WindowMemo, WindowScorer,
 };
 use crate::telemetry::{audit_record_from_alert, DetectMetrics, MonitorMetrics, ResilienceMetrics};
 use adprom_hmm::BeamConfig;
@@ -91,8 +94,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// What replaying one session's buffered batch produced: the advanced
-/// scorer state plus its window alerts, or the (caught) panic message.
-type ReplayOutcome = Result<(SessionScorer, Vec<Alert>), String>;
+/// scorer state, its window alerts and the window scores it adds to its
+/// epoch's memo — or the (caught) panic message.
+type ReplayOutcome = Result<(SessionScorer, Vec<Alert>, MemoDelta), String>;
+
+/// Window-score memo entries a runtime keeps over all its epochs (about
+/// 1.2 MiB of keys, scores and slots at n = 15). A commit whose merge
+/// would pass it clears every memo first.
+const MEMO_CAP: usize = 1 << 14;
+
+/// One pinned `(app, epoch)`: the prototype scorer its sessions clone
+/// (`Arc` bumps) and its exact window-score memo.
+#[derive(Debug)]
+struct EpochScoring {
+    scorer: WindowScorer,
+    memo: WindowMemo,
+}
 
 /// What the ingest boundary does with an event that arrives while the
 /// bounded queue ([`OverloadConfig::capacity`]) is full.
@@ -273,6 +290,8 @@ struct SessionSlot {
     session: String,
     arrival: usize,
     epoch: u64,
+    /// Index of the pinned epoch in the runtime's `epochs` (its memo).
+    scoring: usize,
     /// Epoch-shared scorer (profile + CSR via `Arc`; audit deliberately
     /// unset — the runtime audits serially at commit).
     scorer: WindowScorer,
@@ -301,8 +320,16 @@ pub struct MonitorRuntime {
     /// app → session → slot index, live sessions only. Nested so the
     /// per-event lookup borrows `&str` keys and never allocates.
     live: FnvMap<String, FnvMap<String, usize>>,
-    /// `(app, epoch)` → prototype scorer; sessions clone it (Arc bumps).
-    scorers: HashMap<(String, u64), WindowScorer>,
+    /// `(app, epoch)` → its index in `epochs`, resolved once per session
+    /// at admission.
+    scorers: HashMap<(String, u64), usize>,
+    /// Per pinned epoch: the prototype scorer and the exact window-score
+    /// memo. Workers read a memo as it stood at flush start; only the
+    /// serial commit writes it, so its contents, its hit/miss counts and
+    /// every verdict are the same at any thread count.
+    epochs: Vec<EpochScoring>,
+    /// Entries over every memo in `epochs` (at most [`MEMO_CAP`]).
+    memo_entries: usize,
     /// Logical clock: events ingested so far.
     tick: u64,
     /// Buffered events across all live sessions.
@@ -352,6 +379,8 @@ impl MonitorRuntime {
             slots: Vec::new(),
             live: FnvMap::default(),
             scorers: HashMap::new(),
+            epochs: Vec::new(),
+            memo_entries: 0,
             tick: 0,
             pending_total: 0,
             metrics: MonitorMetrics::disabled(),
@@ -866,11 +895,18 @@ impl MonitorRuntime {
                 self.evict(victim, SessionEnd::PressureEvicted);
             }
         }
-        let scorer = self
+        let epochs = &mut self.epochs;
+        let scoring = *self
             .scorers
             .entry((app.to_string(), epoch.epoch()))
-            .or_insert_with(|| epoch.scorer().with_metrics(self.detect_metrics.clone()))
-            .clone();
+            .or_insert_with(|| {
+                epochs.push(EpochScoring {
+                    scorer: epoch.scorer().with_metrics(self.detect_metrics.clone()),
+                    memo: WindowMemo::default(),
+                });
+                epochs.len() - 1
+            });
+        let scorer = self.epochs[scoring].scorer.clone();
         let mut state = SessionScorer::new(&scorer, self.config.mode);
         if self.config.overload.budget > 0 {
             state = state.with_tier_support(
@@ -888,6 +924,7 @@ impl MonitorRuntime {
             session: session.to_string(),
             arrival,
             epoch: epoch.epoch(),
+            scoring,
             scorer,
             state,
             pending: Vec::new(),
@@ -932,9 +969,12 @@ impl MonitorRuntime {
     /// Replays one session's pending batch into a clone of its state,
     /// under panic isolation and bounded retry (keyed by arrival index, so
     /// an injected fault schedule replays identically at any thread
-    /// count). Returns the advanced state and the windows it emitted.
+    /// count). Returns the advanced state, the windows it emitted and the
+    /// scores it adds to the epoch memo — a panicked attempt's additions
+    /// die with its clone.
     fn replay_guarded(&self, idx: usize) -> ReplayOutcome {
         let slot = &self.slots[idx];
+        let memo = &self.epochs[slot.scoring].memo;
         let timer = self.metrics.stage_score_ns.is_enabled().then(Instant::now);
         let _span = self.tracer.is_enabled().then(|| {
             self.tracer.enter_with(
@@ -964,8 +1004,14 @@ impl MonitorRuntime {
                 }
                 let mut state = slot.state.clone();
                 let mut alerts = Vec::with_capacity(slot.pending.len());
-                state.push_facts(&slot.scorer, &slot.pending, &slot.session, &mut alerts);
-                (state, alerts)
+                let delta = state.push_facts(
+                    &slot.scorer,
+                    &slot.pending,
+                    &slot.session,
+                    &mut alerts,
+                    Some(memo),
+                );
+                (state, alerts, delta)
             }));
             match outcome {
                 Ok(done) => {
@@ -1007,15 +1053,16 @@ impl MonitorRuntime {
 
     /// Applies one replay outcome: on success the advanced state replaces
     /// the slot's, its alerts are recorded (and audited, serially, here —
-    /// never inside a worker); on failure the session closes as `Failed`
-    /// and its app's health goes to Failed. Forensic reports are drained
-    /// here too — from the advanced state, so a retried panic (whose clone
-    /// was discarded) cannot duplicate them — and paired with their alarms
-    /// in emit order.
+    /// never inside a worker) and its fresh window scores merge into the
+    /// epoch memo; on failure the session closes as `Failed` and its app's
+    /// health goes to Failed. Forensic reports are drained here too — from
+    /// the advanced state, so a retried panic (whose clone was discarded)
+    /// cannot duplicate them — and paired with their alarms in emit order.
     fn commit(&mut self, idx: usize, outcome: ReplayOutcome) {
         let timer = self.metrics.stage_commit_ns.is_enabled().then(Instant::now);
         match outcome {
-            Ok((mut state, alerts)) => {
+            Ok((mut state, alerts, delta)) => {
+                self.merge_memo(self.slots[idx].scoring, delta);
                 let _span = self.tracer.is_enabled().then(|| {
                     let slot = &self.slots[idx];
                     self.tracer.enter_with(
@@ -1067,6 +1114,31 @@ impl MonitorRuntime {
             self.metrics
                 .stage_commit_ns
                 .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+    }
+
+    /// Folds one committed replay into its epoch's memo — serially, in
+    /// arrival order — and counts its hits and misses. A merge that would
+    /// take the runtime past [`MEMO_CAP`] entries first clears every memo
+    /// (freeing their tables), so memory stays bounded while the working
+    /// set re-warms.
+    fn merge_memo(&mut self, scoring: usize, delta: MemoDelta) {
+        self.metrics.memo_hits.add(delta.hits);
+        self.metrics.memo_misses.add(delta.misses);
+        if self.memo_entries + delta.fresh.len() > MEMO_CAP {
+            for epoch in &mut self.epochs {
+                epoch.memo = WindowMemo::default();
+            }
+            self.memo_entries = 0;
+        }
+        let memo = &mut self.epochs[scoring].memo;
+        for (window, score) in delta.fresh.entries() {
+            if self.memo_entries == MEMO_CAP {
+                break;
+            }
+            if memo.insert(window, score).1 {
+                self.memo_entries += 1;
+            }
         }
     }
 
@@ -1295,6 +1367,37 @@ mod tests {
             ("shop".into(), "s-0".into(), trace_of(&["b", "a", "a", "b"])),
             ("shop".into(), "s-7".into(), trace_of(&["a", "b"])),
         ]
+    }
+
+    /// Every memo entry as `(app, epoch, window, score bits)`, sorted.
+    fn memo_contents(runtime: &MonitorRuntime) -> Vec<(String, u64, Vec<u16>, u64)> {
+        let mut rows: Vec<_> = runtime
+            .scorers
+            .iter()
+            .flat_map(|((app, epoch), &i)| {
+                runtime.epochs[i]
+                    .memo
+                    .entries()
+                    .map(move |(w, s)| (app.clone(), *epoch, w.to_vec(), s.to_bits()))
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Eight bank sessions re-issuing the same calls: every window recurs
+    /// across sessions, and one of them carries an out-of-vocabulary call.
+    fn repeating_sessions() -> Vec<(String, String, Vec<CallEvent>)> {
+        (0..8)
+            .map(|i| {
+                let mut trace = trace_of(&["a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b"]);
+                if i == 5 {
+                    trace.push(event("evil_exfil", "main"));
+                    trace.push(event("c_Q7", "main"));
+                }
+                ("bank".to_string(), format!("s-{i}"), trace)
+            })
+            .collect()
     }
 
     #[test]
@@ -1930,5 +2033,207 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("resilience.traces_failed"), Some(1));
         assert_eq!(snap.gauge("monitor.sessions.active"), Some(0));
+    }
+
+    #[test]
+    fn memo_scores_repeats_once_and_is_thread_count_independent() {
+        let sessions = repeating_sessions();
+        let stream = interleave(&sessions, 0x3E30);
+        let profiles = two_app_registry();
+        let reference = profiles.scorer("bank").unwrap();
+        let mut baseline = None;
+        for threads in [1usize, 4, 8] {
+            let obs = Registry::new();
+            let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+                .with_registry(&obs)
+                .with_threads(threads)
+                .with_config(RuntimeConfig {
+                    queue_capacity: 8,
+                    ..RuntimeConfig::default()
+                });
+            runtime.ingest_stream(&stream);
+            runtime.flush();
+            let memo = memo_contents(&runtime);
+            assert_eq!(runtime.memo_entries, memo.len());
+            // Each entry is the very score a fresh pass gives the window.
+            let alphabet = &reference.profile().alphabet;
+            for (_, _, window, bits) in &memo {
+                let names: Vec<String> = window
+                    .iter()
+                    .map(|&s| alphabet.decode(usize::from(s)).to_string())
+                    .collect();
+                assert_eq!(reference.score(&names).to_bits(), *bits);
+            }
+            let reports = runtime.finish();
+            for report in &reports {
+                let (_, _, trace) = sessions
+                    .iter()
+                    .find(|(_, session, _)| *session == report.session)
+                    .expect("known session");
+                assert_eq!(
+                    format!("{:?}", report.alerts),
+                    format!("{:?}", reference.scan(trace, &report.session)),
+                    "{} (threads {threads})",
+                    report.session
+                );
+            }
+            let snap = obs.snapshot();
+            let hits = snap.counter("monitor.memo.hits").unwrap();
+            let misses = snap.counter("monitor.memo.misses").unwrap();
+            // Every window took the memo path, far fewer reached the
+            // kernel, and each still left one score-time sample.
+            assert_eq!(Some(hits + misses), snap.counter("detect.windows_scored"));
+            assert_eq!(obs.histogram("detect.score_ns").count(), hits + misses);
+            assert!(hits > 4 * misses, "hits {hits}, misses {misses}");
+            match &baseline {
+                None => baseline = Some((memo, hits, misses)),
+                Some(expected) => assert_eq!(&(memo, hits, misses), expected, "threads {threads}"),
+            }
+        }
+    }
+
+    #[test]
+    fn memo_is_bypassed_where_a_score_is_not_a_pure_function_of_the_window() {
+        quiet_injected_panics();
+        let stream = interleave(&repeating_sessions(), 0xB1A5);
+        let memo_counters = |obs: &Registry| {
+            let snap = obs.snapshot();
+            (
+                snap.counter("monitor.memo.hits"),
+                snap.counter("monitor.memo.misses"),
+            )
+        };
+
+        // Incremental mode scores through the sliding recurrence.
+        let obs = Registry::new();
+        let mut runtime = MonitorRuntime::new(two_app_registry())
+            .with_registry(&obs)
+            .with_config(RuntimeConfig {
+                mode: ScoringMode::Incremental,
+                queue_capacity: 8,
+                ..RuntimeConfig::default()
+            });
+        runtime.ingest_stream(&stream);
+        runtime.flush();
+        assert_eq!(runtime.memo_entries, 0);
+        runtime.finish();
+        assert_eq!(memo_counters(&obs), (Some(0), Some(0)));
+
+        // A beam kernel evaluates (and prunes, and bounds) every window.
+        let obs = Registry::new();
+        let registry = ProfileRegistry::new().with_kernel(KernelConfig::Beam {
+            sparse: adprom_hmm::SparseConfig::default(),
+            beam: BeamConfig {
+                top_k: Some(1),
+                mass_epsilon: 0.0,
+            },
+        });
+        registry
+            .register("bank", cyclic_profile("bank", -5.0))
+            .unwrap();
+        let mut runtime = MonitorRuntime::new(Arc::new(registry))
+            .with_registry(&obs)
+            .with_config(RuntimeConfig {
+                queue_capacity: 8,
+                ..RuntimeConfig::default()
+            });
+        runtime.ingest_stream(&stream);
+        runtime.flush();
+        assert_eq!(runtime.memo_entries, 0);
+        runtime.finish();
+        assert_eq!(memo_counters(&obs), (Some(0), Some(0)));
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counter("beam.windows_pruned"),
+            snap.counter("detect.windows_scored")
+        );
+        assert!(snap.gauge("beam.gap_bound_micronats_max").unwrap() > 0);
+
+        // A flight recorder attributes each alarm from the pass that
+        // scored its window.
+        use adprom_obs::{AuditLog, MemoryAuditSink};
+        let obs = Registry::new();
+        let sink = Arc::new(MemoryAuditSink::new());
+        let mut runtime = MonitorRuntime::new(two_app_registry())
+            .with_registry(&obs)
+            .with_audit(Arc::new(AuditLog::new(
+                sink.clone() as Arc<dyn adprom_obs::AuditSink>
+            )))
+            .with_forensics(ForensicsConfig::default())
+            .with_config(RuntimeConfig {
+                queue_capacity: 8,
+                ..RuntimeConfig::default()
+            });
+        runtime.ingest_stream(&stream);
+        runtime.flush();
+        assert_eq!(runtime.memo_entries, 0);
+        runtime.finish();
+        assert_eq!(memo_counters(&obs), (Some(0), Some(0)));
+        let records = sink.records();
+        assert!(!records.is_empty());
+        for record in &records {
+            let forensics = record.forensics.as_ref().expect("every alarm explained");
+            assert_eq!(
+                forensics.attributed_log_likelihood.to_bits(),
+                record.log_likelihood.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn memo_cap_clears_every_memo_and_keeps_alerts_unchanged() {
+        // 12-call windows over three calls: a pseudo-random 20k-call
+        // session has ~19.6k distinct windows, past the cap.
+        let mut profile = cyclic_profile("bank", -5.0);
+        profile.window = 12;
+        let registry = ProfileRegistry::new();
+        registry.register("bank", profile).unwrap();
+        let profiles = Arc::new(registry);
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let names = ["a", "b", "c_Q7"];
+        let trace: Vec<CallEvent> = (0..20_000)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                event(names[(x >> 33) as usize % names.len()], "main")
+            })
+            .collect();
+        let obs = Registry::new();
+        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+            .with_registry(&obs)
+            .with_config(RuntimeConfig {
+                queue_capacity: 0,
+                ..RuntimeConfig::default()
+            });
+        let mut peak = 0;
+        let mut cleared = false;
+        for chunk in trace.chunks(1_000) {
+            for e in chunk {
+                runtime.ingest(&TaggedCall {
+                    app: "bank".into(),
+                    session: "s-0".into(),
+                    event: e.clone(),
+                });
+            }
+            runtime.flush();
+            let entries = memo_contents(&runtime).len();
+            assert_eq!(entries, runtime.memo_entries);
+            assert!(entries <= MEMO_CAP, "{entries} entries");
+            cleared |= entries < peak;
+            peak = peak.max(entries);
+        }
+        assert!(cleared, "more distinct windows than the cap must clear");
+        let reports = runtime.finish();
+        let expected = profiles.scorer("bank").unwrap().scan(&trace, "s-0");
+        assert_eq!(reports[0].alerts.len(), expected.len());
+        assert_eq!(reports[0].alerts, expected);
+        let snap = obs.snapshot();
+        let misses = snap.counter("monitor.memo.misses").unwrap();
+        assert!(misses > MEMO_CAP as u64);
+        assert_eq!(
+            Some(snap.counter("monitor.memo.hits").unwrap() + misses),
+            snap.counter("detect.windows_scored")
+        );
     }
 }

@@ -540,6 +540,24 @@ impl WindowScorer {
         }
     }
 
+    /// [`WindowScorer::score_batch_encoded`] over any number of windows,
+    /// in passes of at most [`MAX_BATCH_LANES`] lanes, concatenated in
+    /// input order.
+    fn score_lane_capped(&self, windows: &[&[usize]], want_steps: bool) -> BatchScores {
+        let mut out = BatchScores {
+            scores: Vec::with_capacity(windows.len()),
+            steps: want_steps.then(|| Vec::with_capacity(windows.len())),
+        };
+        for lanes in windows.chunks(MAX_BATCH_LANES) {
+            let scored = self.score_batch_encoded(lanes, want_steps);
+            out.scores.extend(scored.scores);
+            if let (Some(all), Some(steps)) = (&mut out.steps, scored.steps) {
+                all.extend(steps);
+            }
+        }
+        out
+    }
+
     /// [`WindowScorer::score`] for an already-encoded window — trace
     /// scanners encode each trace once and score slices of it, so the
     /// per-window cost is only the forward recursion itself. Under
@@ -907,6 +925,48 @@ impl WindowScorer {
     }
 }
 
+/// Scores `windows` through a flush-start memo snapshot: hits read
+/// `memo`, a repeat within this replay reuses its first score, and only
+/// the distinct missing windows reach the kernel — lane-capped, in
+/// first-seen order. `keys[i]` is `windows[i]` as memo key. The missing
+/// windows and their scores land in `delta.fresh`; `memo` itself is never
+/// written here.
+fn score_memoized(
+    scorer: &WindowScorer,
+    windows: &[&[usize]],
+    keys: &[&[u16]],
+    memo: &WindowMemo,
+    delta: &mut MemoDelta,
+) -> Vec<f64> {
+    let mut scores = vec![0.0; windows.len()];
+    let mut missing = Vec::new();
+    for (i, &key) in keys.iter().enumerate() {
+        match memo.get(key) {
+            Some(score) => scores[i] = score,
+            None => missing.push(i),
+        }
+    }
+    // Each distinct missing window is one `fresh` entry and one kernel
+    // lane, both in first-seen order.
+    delta.fresh = WindowMemo::with_capacity(missing.len(), windows.first().map_or(0, |w| w.len()));
+    let mut lanes: Vec<&[usize]> = Vec::new();
+    let mut lane_of = Vec::with_capacity(missing.len());
+    for &i in &missing {
+        let (lane, new) = delta.fresh.insert(keys[i], f64::NAN);
+        if new {
+            lanes.push(windows[i]);
+        }
+        lane_of.push(lane);
+    }
+    delta.misses = lanes.len() as u64;
+    delta.hits = (windows.len() - lanes.len()) as u64;
+    delta.fresh.scores = scorer.score_lane_capped(&lanes, false).scores;
+    for (&i, lane) in missing.iter().zip(lane_of) {
+        scores[i] = delta.fresh.scores[lane];
+    }
+    scores
+}
+
 /// Beam gap bound in integral micro-nats for the running-max gauge; an
 /// infinite bound (pruning starved the chain) saturates it.
 pub(crate) fn gap_micronats(bound: f64) -> i64 {
@@ -950,6 +1010,152 @@ impl WindowEvent {
     pub(crate) fn is_dangerous(&self) -> bool {
         self.ooc || self.labeled
     }
+}
+
+/// Exact window-score memo of one profile epoch: a window's full encoded
+/// symbol sequence, one `u16` per call, → the log-likelihood the epoch's
+/// kernel computed for it. Keyed by the whole sequence, never a hash
+/// alone: a lookup compares every symbol, so a hit is the very `f64` a
+/// fresh pass returned. Only
+/// [`MonitorRuntime`](crate::runtime::MonitorRuntime) owns memos, one
+/// per pinned `(app, epoch)`.
+///
+/// Open addressing over flat arrays: keys sit back to back in one arena
+/// and each slot holds `(hash, entry + 1)`, so an insert allocates
+/// nothing per entry and growing the table never re-reads a key.
+#[derive(Debug, Default)]
+pub(crate) struct WindowMemo {
+    /// Symbols per key — the epoch's window length, fixed by the first
+    /// insert.
+    width: usize,
+    /// Every key, back to back, in insertion order.
+    keys: Vec<u16>,
+    /// Entry `e`'s score.
+    scores: Vec<f64>,
+    /// Power-of-two table, at most half full; `(_, 0)` is an empty slot.
+    slots: Vec<(u32, u32)>,
+}
+
+/// Largest alphabet whose symbols fit a memo key (every profile in
+/// practice: a dense model this wide would hold 2³² transitions).
+const MEMO_MAX_SYMBOLS: usize = 1 << 16;
+
+impl WindowMemo {
+    /// An empty memo with room for `n` keys of `width` symbols before it
+    /// grows.
+    fn with_capacity(n: usize, width: usize) -> WindowMemo {
+        WindowMemo {
+            width,
+            keys: Vec::with_capacity(n * width),
+            scores: Vec::with_capacity(n),
+            slots: if n == 0 {
+                Vec::new()
+            } else {
+                vec![(0, 0); (2 * n + 2).next_power_of_two().max(64)]
+            },
+        }
+    }
+
+    /// Entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.scores.len()
+    }
+
+    /// The score memoized for `key`, if any.
+    pub(crate) fn get(&self, key: &[u16]) -> Option<f64> {
+        self.find(key, memo_hash(key)).ok().map(|e| self.scores[e])
+    }
+
+    /// Adds `key → score` unless `key` is present. Returns the key's entry
+    /// index and whether it was added.
+    pub(crate) fn insert(&mut self, key: &[u16], score: f64) -> (usize, bool) {
+        if self.scores.is_empty() {
+            self.width = key.len();
+        }
+        assert_eq!(key.len(), self.width, "memo keys share one window length");
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = memo_hash(key);
+        match self.find(key, hash) {
+            Ok(entry) => (entry, false),
+            Err(slot) => {
+                let entry = self.len();
+                self.slots[slot] = (hash, entry as u32 + 1);
+                self.keys.extend_from_slice(key);
+                self.scores.push(score);
+                (entry, true)
+            }
+        }
+    }
+
+    /// Every `(key, score)` in insertion order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&[u16], f64)> {
+        self.keys
+            .chunks(self.width.max(1))
+            .zip(self.scores.iter().copied())
+    }
+
+    /// The entry holding `key`, or the empty slot where it belongs.
+    fn find(&self, key: &[u16], hash: u32) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let (h, e) = self.slots[slot];
+            if e == 0 {
+                return Err(slot);
+            }
+            let entry = e as usize - 1;
+            if h == hash && &self.keys[entry * self.width..][..self.width] == key {
+                return Ok(entry);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Doubles the table, re-placing slots by their stored hashes.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(64);
+        let mut slots = vec![(0u32, 0u32); size];
+        for &(hash, e) in self.slots.iter().filter(|s| s.1 != 0) {
+            let mut slot = hash as usize & (size - 1);
+            while slots[slot].1 != 0 {
+                slot = (slot + 1) & (size - 1);
+            }
+            slots[slot] = (hash, e);
+        }
+        self.slots = slots;
+    }
+}
+
+/// Memo key hash: four symbols per 64-bit word through the `FxHasher`
+/// multiply-rotate step, folded so the well-mixed high bits index the
+/// table. A collision costs a probe, never a wrong score.
+fn memo_hash(key: &[u16]) -> u32 {
+    let mut h = 0u64;
+    for chunk in key.chunks(4) {
+        let word = chunk
+            .iter()
+            .rev()
+            .fold(0u64, |w, &s| (w << 16) | u64::from(s));
+        h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    (h >> 32) as u32
+}
+
+/// What one exact-mode replay adds to its epoch's [`WindowMemo`]: the
+/// windows the kernel scored because the flush-start memo lacked them,
+/// in first-scored order, and the replay's tally. A repeat within the
+/// replay reuses its first score and counts as a hit, so `misses` is the
+/// number of kernel evaluations.
+#[derive(Debug, Default)]
+pub(crate) struct MemoDelta {
+    pub(crate) fresh: WindowMemo,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
 }
 
 /// Tier-ladder state of one session, boxed inside [`SessionScorer`] so
@@ -1293,22 +1499,33 @@ impl SessionScorer {
     /// to `out` — the monitor runtime's flush path. Alert-equivalent to
     /// calling [`SessionScorer::push`] once per fact; exact mode
     /// additionally hands every window that completes during the batch to
-    /// the kernel in one lane-capped pass
+    /// the kernel in lane-capped passes
     /// ([`WindowScorer::score_batch_encoded`]), which is how multiplexed
     /// sessions sharing an app profile batch naturally — the scores are
     /// identical to scoring each window alone.
+    ///
+    /// With `memo` (the epoch's memo as it stood at flush start), exact
+    /// mode scores only the windows it lacks — each distinct one once —
+    /// and returns them for the caller to merge. The memo is bypassed
+    /// wherever a score is more than a function of the window: with the
+    /// flight recorder armed (an alarm's factors must come from the pass
+    /// that scored it) and under a beam kernel (its pruning counter and
+    /// gap-bound gauge advance per evaluated window). Incremental mode
+    /// never reads it.
     pub(crate) fn push_facts(
         &mut self,
         scorer: &WindowScorer,
         facts: &[WindowEvent],
         session: &str,
         out: &mut Vec<Alert>,
-    ) {
+        memo: Option<&WindowMemo>,
+    ) -> MemoDelta {
+        let mut delta = MemoDelta::default();
         match self.mode {
             ScoringMode::ExactWindows => {
                 assert!(!self.done, "session already finalized");
                 if facts.is_empty() {
-                    return;
+                    return delta;
                 }
                 let w = self.window;
                 // One contiguous view of ring + incoming facts: every
@@ -1320,40 +1537,52 @@ impl SessionScorer {
                 let encoded: Vec<usize> = combined.iter().map(|f| f.encoded).collect();
                 // The window ending at combined[e] completes once e+1 ≥ w;
                 // only windows ending at one of this batch's facts are new.
-                let first_fact = combined.len() - facts.len();
-                let want_steps = self.flight.is_some();
-                let mut end = first_fact.max(w.saturating_sub(1));
-                while end < combined.len() {
-                    let k = MAX_BATCH_LANES.min(combined.len() - end);
-                    let lanes: Vec<&[usize]> =
-                        (end..end + k).map(|e| &encoded[e + 1 - w..=e]).collect();
-                    let timer = scorer.metrics().score_ns.is_enabled().then(Instant::now);
-                    let scored = scorer.score_batch_encoded(&lanes, want_steps);
-                    if let Some(t0) = timer {
-                        // One sample per window, carrying the batch's
-                        // per-window share (the pinned count contract).
-                        let per =
-                            u64::try_from(t0.elapsed().as_nanos() / k as u128).unwrap_or(u64::MAX);
-                        for _ in 0..k {
-                            scorer.metrics().score_ns.record(per);
+                let first_end = (combined.len() - facts.len()).max(w.saturating_sub(1));
+                let windows: Vec<&[usize]> = (first_end..combined.len())
+                    .map(|e| &encoded[e + 1 - w..=e])
+                    .collect();
+                let memo = memo.filter(|_| {
+                    self.flight.is_none()
+                        && !matches!(scorer.kernel(), KernelState::Beam(..))
+                        && scorer.profile().alphabet.len() <= MEMO_MAX_SYMBOLS
+                });
+                let timer = scorer.metrics().score_ns.is_enabled().then(Instant::now);
+                let scored = match memo {
+                    Some(memo) => {
+                        let narrow: Vec<u16> = encoded.iter().map(|&s| s as u16).collect();
+                        let keys: Vec<&[u16]> = (first_end..combined.len())
+                            .map(|e| &narrow[e + 1 - w..=e])
+                            .collect();
+                        BatchScores {
+                            scores: score_memoized(scorer, &windows, &keys, memo, &mut delta),
+                            steps: None,
                         }
                     }
-                    let mut lane_steps = scored.steps.map(Vec::into_iter);
-                    for (lane, ll) in scored.scores.into_iter().enumerate() {
-                        let e = end + lane;
-                        let steps = lane_steps.as_mut().and_then(Iterator::next);
-                        out.push(Self::emit_window(
-                            self.mode,
-                            &mut self.flight,
-                            scorer,
-                            ll,
-                            ll,
-                            session,
-                            steps,
-                            &combined[e + 1 - w..=e],
-                        ));
+                    None => scorer.score_lane_capped(&windows, self.flight.is_some()),
+                };
+                if let Some(t0) = timer {
+                    // One sample per window, carrying the replay's
+                    // per-window share (the pinned count contract).
+                    let k = windows.len().max(1) as u128;
+                    let per = u64::try_from(t0.elapsed().as_nanos() / k).unwrap_or(u64::MAX);
+                    for _ in &windows {
+                        scorer.metrics().score_ns.record(per);
                     }
-                    end += k;
+                }
+                let mut lane_steps = scored.steps.map(Vec::into_iter);
+                for (lane, ll) in scored.scores.into_iter().enumerate() {
+                    let e = first_end + lane;
+                    let steps = lane_steps.as_mut().and_then(Iterator::next);
+                    out.push(Self::emit_window(
+                        self.mode,
+                        &mut self.flight,
+                        scorer,
+                        ll,
+                        ll,
+                        session,
+                        steps,
+                        &combined[e + 1 - w..=e],
+                    ));
                 }
                 // Advance the ring to the post-batch state: the last ≤ w
                 // events, exactly as per-fact pushes would have left it.
@@ -1387,6 +1616,7 @@ impl SessionScorer {
                 }
             }
         }
+        delta
     }
 
     /// Closes the session: a trace that never filled a full window emits
@@ -1978,5 +2208,35 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("CSR validation"));
+    }
+
+    #[test]
+    fn window_memo_agrees_with_a_std_map_through_growth() {
+        // 15-symbol keys over two- and three-symbol alphabets, some
+        // repeated: every lookup and insert must agree with a std map.
+        let mut memo = WindowMemo::default();
+        let mut reference = std::collections::HashMap::new();
+        let mut x = 7u64;
+        for i in 0..5_000 {
+            let key: Vec<u16> = (0..15)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    ((x >> 33) % if i % 2 == 0 { 3 } else { 2 }) as u16
+                })
+                .collect();
+            assert_eq!(memo.get(&key), reference.get(&key).copied());
+            let (entry, new) = memo.insert(&key, f64::from(i));
+            assert_eq!(new, !reference.contains_key(&key));
+            reference.entry(key.clone()).or_insert(f64::from(i));
+            assert_eq!(memo.get(&key), Some(reference[&key]));
+            assert_eq!(memo.entries().nth(entry).map(|(k, _)| k), Some(&key[..]));
+        }
+        assert_eq!(memo.len(), reference.len());
+        assert!(memo.len() < 5_000, "the stream repeats keys");
+        for (key, score) in memo.entries() {
+            assert_eq!(reference[key], score);
+        }
+        // A key of another length is never a hit.
+        assert_eq!(memo.get(&[0; 14]), None);
     }
 }

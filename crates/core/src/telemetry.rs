@@ -267,6 +267,14 @@ pub struct MonitorMetrics {
     /// `monitor.overload.episodes` — transitions from under-budget to
     /// over-budget (distinct overload episodes, not per-event).
     pub overload_episodes: Counter,
+    /// `monitor.memo.hits` — exact-mode windows whose score came from the
+    /// epoch's window-score memo or an earlier identical window of the
+    /// same replay, with no kernel pass (counted at commit).
+    pub memo_hits: Counter,
+    /// `monitor.memo.misses` — exact-mode windows the kernel scored
+    /// through the memo path: one per distinct window a replay found
+    /// missing (counted at commit).
+    pub memo_misses: Counter,
     /// `sliding.pushes` — events fed through the sliding scorers of closed
     /// sessions (incremental mode; 0 in exact mode).
     pub sliding_pushes: Counter,
@@ -307,6 +315,8 @@ impl MonitorMetrics {
             backpressure_flushes: registry.counter("monitor.backpressure.flushes"),
             overload_active: registry.gauge("monitor.overload.active"),
             overload_episodes: registry.counter("monitor.overload.episodes"),
+            memo_hits: registry.counter("monitor.memo.hits"),
+            memo_misses: registry.counter("monitor.memo.misses"),
             sliding_pushes: registry.counter("sliding.pushes"),
             sliding_reanchors: registry.counter("sliding.reanchors"),
         }

@@ -13,7 +13,7 @@ use adprom::core::{
 };
 use adprom::hmm::Hmm;
 use adprom::lang::{CallSiteId, LibCall};
-use adprom::obs::{AuditLog, MemoryAuditSink};
+use adprom::obs::{AuditLog, MemoryAuditSink, Registry};
 use adprom::trace::{interleave, CallEvent, TaggedCall};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -50,12 +50,24 @@ fn event(name: &str, caller: &str) -> CallEvent {
 /// The cyclic a→b→c toy profile, parameterized by app name and threshold
 /// so each "application" (and each hot-swap epoch) is distinguishable.
 fn cyclic_profile(app: &str, threshold: f64) -> Profile {
+    ring_profile(app, threshold, [1, 2, 0])
+}
+
+/// The same alphabet and threshold with the cycle reversed (a→c→b): a
+/// different transition matrix, so every window scores differently than
+/// under [`cyclic_profile`].
+fn reversed_profile(app: &str, threshold: f64) -> Profile {
+    ring_profile(app, threshold, [2, 0, 1])
+}
+
+/// A three-call ring profile: call `i` is followed by call `next[i]`.
+fn ring_profile(app: &str, threshold: f64, next: [usize; 3]) -> Profile {
     let alphabet = Alphabet::new(vec!["a".to_string(), "b".to_string(), "c_Q7".to_string()]);
     let m = alphabet.len();
     let mut a = vec![vec![0.001; m]; m];
-    a[0][1] = 1.0;
-    a[1][2] = 1.0;
-    a[2][0] = 1.0;
+    for (i, &j) in next.iter().enumerate() {
+        a[i][j] = 1.0;
+    }
     a[3][3] = 1.0;
     let mut b = vec![vec![0.001; m]; m];
     for (i, row) in b.iter_mut().enumerate() {
@@ -129,20 +141,27 @@ proptest! {
     /// are bit-identical (Debug-formatted) to scanning its de-interleaved
     /// trace with a standalone scorer over the profile epoch pinned at the
     /// session's first event — epoch 1 for sessions opened before the
-    /// mid-stream hot-swap, epoch 2 after.
+    /// mid-stream hot-swap, epoch 2 after. The swapped-in epoch either
+    /// moves only the threshold or rewires the transition matrix, so a
+    /// window-score memo shared across epochs would show.
     #[test]
     fn interleaved_runtime_matches_isolated_scans_across_threads_and_swap(
         sessions in arb_sessions(),
         seed in any::<u64>(),
         swap_pct in 0usize..=100,
         incremental in any::<bool>(),
+        rewire in any::<bool>(),
     ) {
         let stream = interleave(&sessions, seed);
         let swap_at = stream.len() * swap_pct / 100;
         let mode = if incremental { ScoringMode::Incremental } else { ScoringMode::ExactWindows };
 
         let bank_v1 = cyclic_profile("bank", -5.0);
-        let bank_v2 = cyclic_profile("bank", 0.0); // flags everything
+        let bank_v2 = if rewire {
+            reversed_profile("bank", -5.0)
+        } else {
+            cyclic_profile("bank", 0.0) // flags everything
+        };
         let shop_v1 = cyclic_profile("shop", -1.0);
 
         // Serial reference: each session scored in isolation against its
@@ -241,12 +260,13 @@ fn runtime_audit_sequence_is_deterministic_under_faults_and_threads() {
         interleave(&sessions, 0xA11D)
     };
 
-    let mut baseline: Option<Vec<AuditRow>> = None;
+    let mut baseline: Option<(Vec<AuditRow>, u64, u64)> = None;
     for threads in [1usize, 4, 8] {
         let registry = ProfileRegistry::new();
         registry
             .register("bank", cyclic_profile("bank", 0.0))
             .unwrap();
+        let obs = Registry::new();
         let sink = Arc::new(MemoryAuditSink::new());
         let audit = Arc::new(AuditLog::new(sink.clone()));
         let injector = FaultPlan::new(21)
@@ -258,6 +278,7 @@ fn runtime_audit_sequence_is_deterministic_under_faults_and_threads() {
             .arm();
         let mut runtime = MonitorRuntime::new(Arc::new(registry))
             .with_threads(threads)
+            .with_registry(&obs)
             .with_audit(audit)
             .with_faults(&injector);
         runtime.ingest_stream(&make_stream());
@@ -291,9 +312,105 @@ fn runtime_audit_sequence_is_deterministic_under_faults_and_threads() {
         let alarm_total: usize = reports.iter().map(|r| r.alarms().count()).sum();
         assert_eq!(got.len(), alarm_total, "threads {threads}");
         assert!(alarm_total > 0, "flag-everything threshold must alarm");
+        // Memo counters come from the committed outcome only: the retried
+        // replay of s-1 counts once. s-0 and s-1 each score one distinct
+        // full window; s-2 never fills one.
+        let snap = obs.snapshot();
+        let hits = snap.counter("monitor.memo.hits").unwrap();
+        let misses = snap.counter("monitor.memo.misses").unwrap();
+        assert_eq!((hits, misses), (0, 2), "threads {threads}");
+        let run = (got, hits, misses);
         match &baseline {
-            None => baseline = Some(got),
-            Some(expected) => assert_eq!(&got, expected, "threads {threads}"),
+            None => baseline = Some(run),
+            Some(expected) => assert_eq!(&run, expected, "threads {threads}"),
+        }
+    }
+}
+
+/// The window-score memo is per pinned epoch: sessions on both sides of a
+/// hot-swap that rewires the transition matrix issue the very same
+/// windows, yet each must score them on its own epoch. The stream repeats
+/// its windows across many small flushes, so every thread count serves
+/// most windows from the memo — and must still match the isolated scans.
+#[test]
+fn memo_is_isolated_per_epoch_and_serves_repeats_at_any_thread_count() {
+    let trace = || {
+        ["a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b"]
+            .iter()
+            .map(|n| event(n, "main"))
+            .collect::<Vec<_>>()
+    };
+    let sessions = |prefix: &str| -> Vec<(String, String, Vec<CallEvent>)> {
+        (0..6)
+            .map(|i| ("bank".to_string(), format!("{prefix}-{i}"), trace()))
+            .collect()
+    };
+    let before = interleave(&sessions("old"), 0x0E90);
+    let after = interleave(&sessions("new"), 0x0E91);
+    let v1 = WindowScorer::new(Arc::new(cyclic_profile("bank", -5.0)));
+    let v2 = WindowScorer::new(Arc::new(reversed_profile("bank", -5.0)));
+    let (old_alerts, new_alerts) = (v1.scan(&trace(), ""), v2.scan(&trace(), ""));
+    assert!(
+        old_alerts
+            .iter()
+            .zip(&new_alerts)
+            .all(|(a, b)| a.window == b.window && a.log_likelihood != b.log_likelihood),
+        "shared windows must score differently on the two epochs"
+    );
+
+    let mut baseline: Option<(String, u64, u64)> = None;
+    for threads in [1usize, 4, 8] {
+        let registry = ProfileRegistry::new();
+        registry
+            .register("bank", cyclic_profile("bank", -5.0))
+            .unwrap();
+        let profiles = Arc::new(registry);
+        let obs = Registry::new();
+        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+            .with_threads(threads)
+            .with_registry(&obs)
+            .with_config(RuntimeConfig {
+                queue_capacity: 4,
+                ..RuntimeConfig::default()
+            });
+        runtime.ingest_stream(&before);
+        profiles
+            .register("bank", reversed_profile("bank", -5.0))
+            .unwrap();
+        runtime.ingest_stream(&after);
+        let reports = runtime.finish();
+        assert_eq!(reports.len(), 12);
+        for report in &reports {
+            let (epoch, scorer) = if report.session.starts_with("old") {
+                (1, &v1)
+            } else {
+                (2, &v2)
+            };
+            assert_eq!(
+                report.epoch, epoch,
+                "{} (threads {threads})",
+                report.session
+            );
+            assert_eq!(
+                format!("{:?}", report.alerts),
+                format!("{:?}", scorer.scan(&trace(), &report.session)),
+                "{} (threads {threads})",
+                report.session
+            );
+        }
+        let snap = obs.snapshot();
+        let hits = snap.counter("monitor.memo.hits").unwrap();
+        let misses = snap.counter("monitor.memo.misses").unwrap();
+        assert!(hits > 0, "threads {threads}: the memo served no window");
+        assert_eq!(
+            Some(hits + misses),
+            snap.counter("detect.windows_scored"),
+            "threads {threads}"
+        );
+        let run = (format!("{reports:?}"), hits, misses);
+        match &baseline {
+            None => baseline = Some(run),
+            Some(expected) => assert_eq!(&run, expected, "threads {threads}"),
         }
     }
 }
