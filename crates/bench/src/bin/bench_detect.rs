@@ -12,12 +12,10 @@
 //!
 //! Flags:
 //!
-//! * `--sparse` — score through the exact sparse CSR kernel (ε = 0, no
-//!   beam); the profile is built with `flatten_epsilon = 1e-4` so the
-//!   trained model decomposes sparsely, and the run *asserts* that alert
-//!   counts and per-window flags match the dense kernel exactly.
-//! * `--beam` — sparse kernel plus mass-threshold beam pruning of α
-//!   (approximate scores, bounded error).
+//! * `--sparse` — score through the exact sparse CSR kernel (ε = 0); the
+//!   profile is built with `flatten_epsilon = 1e-4` so the trained model
+//!   decomposes sparsely, and the run *asserts* that alert counts and
+//!   per-window flags match the dense kernel exactly.
 //! * `--simd` — SIMD-shaped scoring gate: the batched lane-major sparse
 //!   kernel in f64 vs the f32 fast path with f64 guard-band
 //!   verification, timed adjacently in paired rounds. The run *asserts*
@@ -82,7 +80,7 @@ use adprom_core::{
     SessionEnd, SessionReport, ShardedMonitor, ShedPolicy, Trigger,
 };
 use adprom_hmm::{
-    log_likelihood_sparse, score_windows_batch, train, BeamConfig, F32Kernel, Hmm, SparseConfig,
+    log_likelihood_sparse, score_windows_batch, train, F32Kernel, Hmm, SparseConfig,
     SparseTransitions,
 };
 use adprom_obs::{AuditLog, AuditRecord, MemoryAuditSink, Registry};
@@ -346,7 +344,6 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut smoke = false;
     let mut sparse = false;
-    let mut beam = false;
     let mut faults = false;
     let mut multiapp = false;
     let mut forensics = false;
@@ -361,7 +358,6 @@ fn main() {
             }
             "--smoke" => smoke = true,
             "--sparse" => sparse = true,
-            "--beam" => beam = true,
             "--simd" => simd = true,
             "--faults" => faults = true,
             "--multiapp" => multiapp = true,
@@ -371,8 +367,8 @@ fn main() {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: bench_detect [--smoke] [--sparse] [--beam] [--simd] [--faults] \
-                     [--multiapp] [--forensics] [--overload] [--service] [--metrics-out <path>]"
+                    "usage: bench_detect [--smoke] [--sparse] [--simd] [--faults] [--multiapp] \
+                     [--forensics] [--overload] [--service] [--metrics-out <path>]"
                 );
                 std::process::exit(2);
             }
@@ -394,13 +390,7 @@ fn main() {
     } else {
         (48, 6, 12, 1.5)
     };
-    let kernel_mode = if beam {
-        "beam"
-    } else if sparse {
-        "sparse"
-    } else {
-        "dense"
-    };
+    let kernel_mode = if sparse { "sparse" } else { "dense" };
     // One label per run shape: history entries carry it so gates select
     // the latest entry per (workload, mode) instead of guessing by tail
     // position across heterogeneous runs.
@@ -419,18 +409,7 @@ fn main() {
     } else {
         kernel_mode
     };
-    let kernel_config = if beam {
-        // Mass-threshold pruning only: states carrying < 1e-6 combined
-        // scaled-α mass are dropped, so the score error (tracked by the
-        // gap-bound gauge) stays far below the 1.5-nat threshold margin.
-        KernelConfig::Beam {
-            sparse: SparseConfig::default(),
-            beam: BeamConfig {
-                top_k: None,
-                mass_epsilon: 1e-6,
-            },
-        }
-    } else if sparse {
+    let kernel_config = if sparse {
         KernelConfig::Sparse {
             sparse: SparseConfig::default(),
         }
@@ -447,7 +426,7 @@ fn main() {
     let mut config = ConstructorConfig::default();
     config.train.max_iterations = max_iterations;
     config.registry = registry.clone();
-    if sparse || beam || simd {
+    if sparse || simd {
         // Collapse Baum–Welch's floor dust back to a bit-exact per-row
         // background so the CSR decomposition is sparse (and, at ε = 0,
         // exact) on the trained model.
@@ -468,11 +447,11 @@ fn main() {
             .sum::<usize>()
     });
 
-    // Serial kernel path (sparse CSR / beam), when one is selected.
+    // Serial sparse CSR kernel path, when selected.
     let kernel_engine = DetectionEngine::new(&profile)
         .with_registry(&registry)
         .with_kernel(kernel_config);
-    let kernel_serial: Option<(f64, usize)> = (sparse || beam).then(|| {
+    let kernel_serial: Option<(f64, usize)> = sparse.then(|| {
         throughput(events, max_runs, budget_secs, &|| {
             batch
                 .iter()
@@ -481,25 +460,22 @@ fn main() {
         })
     });
 
-    // Exactness gate (ε = 0, no beam): the sparse kernel must reproduce
-    // the dense run's alerts window for window — counts, flags and the
-    // flag partition. Beam runs report the comparison without asserting
-    // (their scores are intentionally approximate).
-    let kernel_flags_match_dense: Option<bool> = (sparse || beam).then(|| {
+    // Exactness gate (ε = 0): the sparse kernel must reproduce the dense
+    // run's alerts window for window — counts, flags and the flag
+    // partition.
+    let kernel_flags_match_dense: Option<bool> = sparse.then(|| {
         let dense_reports: Vec<Vec<Alert>> = batch.iter().map(|t| dense_engine.scan(t)).collect();
         let kernel_reports: Vec<Vec<Alert>> = batch.iter().map(|t| kernel_engine.scan(t)).collect();
         let dense_flags: Vec<Flag> = dense_reports.iter().flatten().map(|a| a.flag).collect();
         let kernel_flags: Vec<Flag> = kernel_reports.iter().flatten().map(|a| a.flag).collect();
         let matches = dense_flags == kernel_flags
             && flag_partition(&dense_reports) == flag_partition(&kernel_reports);
-        if sparse && !beam {
-            assert!(
-                matches,
-                "sparse kernel flag partition diverged from dense: {:?} vs {:?}",
-                flag_partition(&kernel_reports),
-                flag_partition(&dense_reports),
-            );
-        }
+        assert!(
+            matches,
+            "sparse kernel flag partition diverged from dense: {:?} vs {:?}",
+            flag_partition(&kernel_reports),
+            flag_partition(&dense_reports),
+        );
         matches
     });
 
@@ -531,7 +507,7 @@ fn main() {
     // Determinism spot-checks, not just counts: the parallel exact mode
     // must reproduce the same-kernel serial alerts verbatim; incremental
     // must agree on the alert counts.
-    let ref_engine = if sparse || beam {
+    let ref_engine = if sparse {
         &kernel_engine
     } else {
         &dense_engine
@@ -822,10 +798,6 @@ fn main() {
             "multiapp runtime verdicts diverged from per-app serial scans"
         );
         let status = reports[0].kernel.clone();
-        assert!(
-            status.fallback_reason.is_none(),
-            "flattened CA profiles must keep the sparse kernel"
-        );
         let multi_reports: Vec<Vec<Alert>> = reports.iter().map(|r| r.alerts.clone()).collect();
         let multi_partition = flag_partition(&multi_reports);
         let multi_alerts: usize = multi_reports.iter().map(Vec::len).sum();
@@ -1820,22 +1792,10 @@ fn main() {
         snapshot.counter("detect.flags.out_of_context").unwrap_or(0),
     );
     println!(
-        "flagged windows by kernel: dense {}, sparse {}, beam {}",
+        "flagged windows by kernel: dense {}, sparse {}",
         snapshot.counter("detect.kernel.dense").unwrap_or(0),
         snapshot.counter("detect.kernel.sparse").unwrap_or(0),
-        snapshot.counter("detect.kernel.beam").unwrap_or(0),
     );
-    if beam {
-        println!(
-            "beam: {} windows pruned, worst gap bound {} micro-nats",
-            snapshot.counter("beam.windows_pruned").unwrap_or(0),
-            snapshot
-                .gauges
-                .get("beam.gap_bound_micronats_max")
-                .copied()
-                .unwrap_or(0),
-        );
-    }
     if let Some(h) = snapshot.histograms.get("monitor.stage.score_ns") {
         println!(
             "per-session score latency: p50 {:.0}ns p90 {:.0}ns p99 {:.0}ns max {}ns \
@@ -1861,9 +1821,8 @@ fn main() {
         })
         .unwrap_or_default();
     let partition = flag_partition(&serial_reports);
-    // The unified KernelStatus every detection path now reports: what was
-    // asked for, what is actually scoring windows, and whether validation
-    // forced a dense downgrade.
+    // The unified KernelStatus every detection path reports: what was
+    // asked for and what is scoring windows.
     let kernel_status = batch_profiles
         .current("hospital")
         .expect("registered app")
@@ -1877,7 +1836,6 @@ fn main() {
          \"kernel\": \"{kernel_mode}\",\n    \
          \"kernel_requested\": \"{kernel_requested}\",\n    \
          \"kernel_effective\": \"{kernel_effective}\",\n    \
-         \"kernel_fell_back\": {kernel_fell_back},\n    \
          \"alerts\": {serial_alerts},\n    \
          \"flag_partition\": [{}, {}, {}, {}],\n    \
          \"serial_exact_events_per_sec\": {serial_eps:.0},\n{kernel_fields}{fault_fields}{multiapp_fields}{service_fields}{forensics_fields}{overload_fields}{simd_fields}    \
@@ -1898,7 +1856,6 @@ fn main() {
         window = profile.window,
         kernel_requested = kernel_status.requested,
         kernel_effective = kernel_status.effective,
-        kernel_fell_back = kernel_status.fell_back(),
         bw_windows = windows_enc.len(),
     );
     append_history("BENCH_detect.json", &entry);

@@ -12,18 +12,18 @@
 //! 3. **Anomalous** — an unlikely sequence without labeled output calls;
 //! 4. **Normal** — everything else.
 //!
-//! Both types in this module — the whole-trace [`DetectionEngine`] and the
-//! streaming [`OnlineDetector`] — are thin shells over the shared scoring
-//! core, [`crate::scorer::WindowScorer`]; so is the session-multiplexed
-//! [`MonitorRuntime`](crate::runtime::MonitorRuntime). There is exactly one
-//! forward-scoring / classification / observation path in the crate.
+//! The whole-trace [`DetectionEngine`] is a thin shell over the shared
+//! scoring core, [`crate::scorer::WindowScorer`]; so is the
+//! session-multiplexed [`MonitorRuntime`](crate::runtime::MonitorRuntime),
+//! which also serves streaming (§IV-D online) monitoring. There is exactly
+//! one forward-scoring / classification / observation path in the crate.
 
 use crate::profile::Profile;
-use crate::scorer::{KernelStatus, ScoringMode, SessionScorer, WindowScorer};
+use crate::scorer::{KernelStatus, WindowScorer};
 use crate::telemetry::DetectMetrics;
-use adprom_hmm::{BeamConfig, SparseConfig, SparseTransitions};
+use adprom_hmm::{SparseConfig, SparseTransitions};
 use adprom_obs::{AuditLog, Registry};
-use adprom_trace::{CallEvent, CallSink};
+use adprom_trace::CallEvent;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -90,12 +90,12 @@ impl fmt::Display for Flag {
 /// [`ProfileRegistry`](crate::registry::ProfileRegistry) epoch) runs per
 /// window.
 ///
-/// `Sparse` with `epsilon = 0` and `Beam` off is *exact*: on smoothed
-/// profiles it produces bit-identical log-likelihoods to `Dense` in
+/// `Sparse` with `epsilon = 0` is *exact*: on smoothed profiles it
+/// produces `Dense`'s log-likelihoods (up to summation order) in
 /// O(nnz + N) per event instead of O(N²) (see [`adprom_hmm::sparse`]).
-/// `Beam` additionally prunes the α vector per step — scores become lower
-/// bounds on the exact value, with the per-window gap bounded by the
-/// `beam.gap_bound_micronats_max` gauge.
+/// Beam pruning is not a kernel: only the monitor's
+/// [`ScoringTier::BeamPruned`](crate::scorer::ScoringTier::BeamPruned)
+/// overload tier prunes, under a tracked error bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum KernelConfig {
     /// The dense O(N²)-per-event forward pass (the default).
@@ -106,24 +106,14 @@ pub enum KernelConfig {
         /// CSR construction parameters (fold epsilon, density cutoff).
         sparse: SparseConfig,
     },
-    /// The sparse kernel plus beam pruning of α: approximate scores with a
-    /// tracked, sound error bound.
-    Beam {
-        /// CSR construction parameters.
-        sparse: SparseConfig,
-        /// Pruning policy (top-k and/or mass threshold).
-        beam: BeamConfig,
-    },
 }
 
 impl KernelConfig {
-    /// Short name for metrics and audit records: `dense`, `sparse`, or
-    /// `beam`.
+    /// Short name for metrics and audit records: `dense` or `sparse`.
     pub fn label(&self) -> &'static str {
         match self {
             KernelConfig::Dense => "dense",
             KernelConfig::Sparse { .. } => "sparse",
-            KernelConfig::Beam { .. } => "beam",
         }
     }
 }
@@ -138,8 +128,6 @@ pub(crate) enum KernelState {
     Dense,
     /// Exact sparse scoring through a shared CSR kernel.
     Sparse(Arc<SparseTransitions>),
-    /// Sparse scoring with beam pruning.
-    Beam(Arc<SparseTransitions>, BeamConfig),
 }
 
 impl KernelState {
@@ -151,21 +139,22 @@ impl KernelState {
             KernelConfig::Sparse { sparse } => {
                 KernelState::Sparse(Arc::new(SparseTransitions::from_hmm(&profile.hmm, &sparse)))
             }
-            KernelConfig::Beam { sparse, beam } => KernelState::Beam(
-                Arc::new(SparseTransitions::from_hmm(&profile.hmm, &sparse)),
-                beam,
-            ),
+        }
+    }
+
+    /// The shared CSR kernel, when one is in force — what a sliding
+    /// recurrence propagates through (`None`: the dense sweep).
+    pub(crate) fn sparse(&self) -> Option<&SparseTransitions> {
+        match self {
+            KernelState::Dense => None,
+            KernelState::Sparse(sp) => Some(sp),
         }
     }
 
     /// [`KernelState::build`] with CSR validation: the profile's model is
     /// checked (finite, row-stochastic) before building, and the built
-    /// decomposition self-checks its structure. `Err` carries the reason;
-    /// resilience-aware callers (the batch detector, the profile
-    /// registry) downgrade to the dense kernel instead of scoring through
-    /// a corrupt CSR — and since validation failure means the sparse
-    /// kernel was never built, the degraded mode *is* the dense kernel,
-    /// bit-exactly.
+    /// decomposition self-checks its structure. `Err` carries the reason,
+    /// and the profile registry rejects the registration with it.
     pub(crate) fn build_validated(
         config: KernelConfig,
         profile: &Profile,
@@ -175,10 +164,6 @@ impl KernelState {
             KernelConfig::Sparse { sparse } => Ok(KernelState::Sparse(Arc::new(
                 SparseTransitions::try_from_hmm(&profile.hmm, &sparse)?,
             ))),
-            KernelConfig::Beam { sparse, beam } => Ok(KernelState::Beam(
-                Arc::new(SparseTransitions::try_from_hmm(&profile.hmm, &sparse)?),
-                beam,
-            )),
         }
     }
 }
@@ -300,13 +285,13 @@ impl DetectionEngine {
         self.scorer.threshold()
     }
 
-    /// Short name of the active scoring kernel (`dense`, `sparse`, or
-    /// `beam`) — stamped on audit records.
+    /// Short name of the active scoring kernel (`dense` or `sparse`) —
+    /// stamped on audit records.
     pub fn kernel_label(&self) -> &str {
         &self.scorer.status().effective
     }
 
-    /// Requested/effective kernel and the downgrade reason, if any.
+    /// Requested/effective kernel, precision and batch width.
     pub fn kernel_status(&self) -> &KernelStatus {
         self.scorer.status()
     }
@@ -358,117 +343,6 @@ impl DetectionEngine {
             .map(|a| a.flag)
             .max()
             .unwrap_or(Flag::Normal)
-    }
-}
-
-/// A streaming detector: plug it in as the interpreter's [`CallSink`] and
-/// it classifies each n-window as calls arrive — the §IV-D online workflow
-/// where "the Calls Collector sends n-length call sequences (the last call
-/// and the n−1 past calls) to the Detection Engine".
-///
-/// Shares the profile behind an `Arc` and has full kernel / metrics /
-/// audit parity with the batch paths: the same [`WindowScorer`] scores
-/// every window, the same `detect.*` counters tick, and non-Normal
-/// windows reach the audit log with the configured session id.
-#[derive(Debug, Clone)]
-pub struct OnlineDetector {
-    scorer: WindowScorer,
-    state: SessionScorer,
-    session: String,
-    alerts: Vec<Alert>,
-}
-
-impl OnlineDetector {
-    /// Creates a streaming detector over a shared profile (a bare
-    /// [`Profile`] converts too). Exact per-window scoring; ramp-up —
-    /// windows are classified once `window` events arrived.
-    pub fn new(profile: impl Into<Arc<Profile>>) -> OnlineDetector {
-        let scorer = WindowScorer::new(profile.into());
-        let state = SessionScorer::new(&scorer, ScoringMode::ExactWindows);
-        OnlineDetector {
-            scorer,
-            state,
-            session: String::new(),
-            alerts: Vec::new(),
-        }
-    }
-
-    /// Switches the scoring mode (exact per-window forward vs incremental
-    /// sliding scoring). Resets streaming state; call before feeding
-    /// events.
-    pub fn with_mode(mut self, mode: ScoringMode) -> OnlineDetector {
-        self.state = SessionScorer::new(&self.scorer, mode);
-        self
-    }
-
-    /// Selects the scoring kernel (validated; degrades to dense on a
-    /// corrupt model, with the reason in
-    /// [`OnlineDetector::kernel_status`]).
-    pub fn with_kernel(mut self, config: KernelConfig) -> OnlineDetector {
-        let mode = self.state.mode();
-        self.scorer = self.scorer.with_kernel_validated(config);
-        self.state = SessionScorer::new(&self.scorer, mode);
-        self
-    }
-
-    /// Selects the scoring precision (see
-    /// [`WindowScorer::with_precision`]).
-    pub fn with_precision(mut self, precision: adprom_hmm::Precision) -> OnlineDetector {
-        self.scorer = self.scorer.with_precision(precision);
-        self
-    }
-
-    /// Registers metric handles against `registry`.
-    pub fn with_registry(mut self, registry: &Registry) -> OnlineDetector {
-        self.scorer = self.scorer.with_registry(registry);
-        self
-    }
-
-    /// Routes every non-Normal detection to `audit`, stamped with the
-    /// session id.
-    pub fn with_audit(mut self, audit: Arc<AuditLog>) -> OnlineDetector {
-        self.scorer = self.scorer.with_audit(audit);
-        self
-    }
-
-    /// Sets the session id stamped on audit records.
-    pub fn set_session(&mut self, session: &str) {
-        self.session = session.to_string();
-    }
-
-    /// Requested/effective kernel and the downgrade reason, if any.
-    pub fn kernel_status(&self) -> &KernelStatus {
-        self.scorer.status()
-    }
-
-    /// Alerts raised so far (one per full window seen).
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
-    }
-
-    /// Alarms only (non-normal alerts).
-    pub fn alarms(&self) -> Vec<&Alert> {
-        self.alerts.iter().filter(|a| a.is_alarm()).collect()
-    }
-
-    /// Closes the stream: a session shorter than one window emits its
-    /// single short-window alert now (matching
-    /// [`DetectionEngine::scan`]'s `len ≤ n` behavior). Returns the alert
-    /// if one was emitted.
-    pub fn finish(&mut self) -> Option<Alert> {
-        let alert = self.state.finalize(&self.scorer, &self.session);
-        if let Some(alert) = &alert {
-            self.alerts.push(alert.clone());
-        }
-        alert
-    }
-}
-
-impl CallSink for OnlineDetector {
-    fn on_call(&mut self, event: CallEvent) {
-        if let Some(alert) = self.state.push(&self.scorer, &event, &self.session) {
-            self.alerts.push(alert);
-        }
     }
 }
 
@@ -587,77 +461,6 @@ mod tests {
             event("c_Q7", "main"),
         ];
         assert_eq!(engine.verdict(&events), Flag::OutOfContext);
-    }
-
-    #[test]
-    fn online_detector_streams_windows() {
-        let profile = cyclic_profile();
-        let mut online = OnlineDetector::new(profile);
-        for name in ["a", "b", "c_Q7", "a", "b", "c_Q7"] {
-            online.on_call(event(name, "main"));
-        }
-        // Windows start once 3 events arrived: 4 windows total.
-        assert_eq!(online.alerts().len(), 4);
-        assert!(online.alarms().is_empty());
-        // A full-length stream has nothing left to emit at close.
-        assert_eq!(online.finish(), None);
-    }
-
-    #[test]
-    fn online_detector_matches_engine_scan_windows() {
-        // The streaming path and the whole-trace scan produce bit-identical
-        // alerts — both are the same WindowScorer underneath.
-        let profile = cyclic_profile();
-        let engine = DetectionEngine::new(&profile);
-        for trace in [
-            vec!["a", "b", "c_Q7", "a", "evil_exfil", "c_Q7", "b", "a"],
-            vec!["a", "b"], // shorter than one window
-            vec!["b", "a", "a"],
-        ] {
-            let events: Vec<CallEvent> = trace.iter().map(|n| event(n, "main")).collect();
-            let mut online = OnlineDetector::new(profile.clone());
-            for e in &events {
-                online.on_call(e.clone());
-            }
-            online.finish();
-            assert_eq!(
-                format!("{:?}", engine.scan(&events)),
-                format!("{:?}", online.alerts()),
-                "trace {trace:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn online_detector_has_metrics_and_audit_parity() {
-        use adprom_obs::{AuditLog, AuditSink, MemoryAuditSink};
-        let profile = cyclic_profile();
-        let registry = Registry::new();
-        let sink = Arc::new(MemoryAuditSink::new());
-        let audit = Arc::new(AuditLog::new(Arc::clone(&sink) as Arc<dyn AuditSink>));
-        let mut online = OnlineDetector::new(profile)
-            .with_kernel(KernelConfig::Sparse {
-                sparse: SparseConfig::default(),
-            })
-            .with_registry(&registry)
-            .with_audit(audit);
-        online.set_session("conn-9");
-        assert_eq!(online.kernel_status().effective, "sparse");
-        for name in ["a", "evil_exfil", "c_Q7", "a"] {
-            online.on_call(event(name, "main"));
-        }
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("detect.windows_scored"), Some(2));
-        // The flagged windows are attributed to the sparse kernel...
-        assert_eq!(
-            snap.counter("detect.kernel.sparse"),
-            Some(online.alarms().len() as u64)
-        );
-        // ...and audited with the session id.
-        let records = sink.records();
-        assert_eq!(records.len(), online.alarms().len());
-        assert!(records.iter().all(|r| r.session == "conn-9"));
-        assert!(records.iter().all(|r| r.kernel == "sparse"));
     }
 
     #[test]
@@ -803,9 +606,9 @@ mod tests {
 
     #[test]
     fn sparse_kernel_produces_equivalent_alerts() {
-        // ε = 0, no beam: the sparse path computes the same quantity as
-        // dense (summation order differs, so scores agree to 1e-9 rather
-        // than bitwise) — flags, windows and details must be identical.
+        // ε = 0: the sparse path computes the same quantity as dense
+        // (summation order differs, so scores agree to 1e-9 rather than
+        // bitwise) — flags, windows and details must be identical.
         let profile = cyclic_profile();
         let dense = DetectionEngine::new(&profile);
         let sparse = DetectionEngine::new(&profile).with_kernel(KernelConfig::Sparse {
@@ -836,37 +639,6 @@ mod tests {
             assert_eq!(d.detail, s.detail);
             assert!((d.log_likelihood - s.log_likelihood).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn beam_kernel_stamps_metrics_and_audit_records() {
-        use adprom_obs::{AuditLog, AuditSink, MemoryAuditSink};
-        let profile = cyclic_profile();
-        let registry = Registry::new();
-        let sink = Arc::new(MemoryAuditSink::new());
-        let audit = Arc::new(AuditLog::new(Arc::clone(&sink) as Arc<dyn AuditSink>));
-        let engine = DetectionEngine::new(&profile)
-            .with_registry(&registry)
-            .with_audit(audit)
-            .with_kernel(KernelConfig::Beam {
-                sparse: SparseConfig::default(),
-                beam: BeamConfig {
-                    top_k: Some(2),
-                    mass_epsilon: 0.0,
-                },
-            });
-        assert_eq!(engine.kernel_label(), "beam");
-        let alert = engine.classify(&[event("b", "main"), event("a", "main"), event("a", "main")]);
-        assert!(alert.is_alarm());
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("detect.kernel.beam"), Some(1));
-        // 4 alphabet symbols, top-2 beam: every step prunes states, and
-        // the bound gauge records the worst per-window gap.
-        assert_eq!(snap.counter("beam.windows_pruned"), Some(1));
-        assert!(snap.gauges["beam.gap_bound_micronats_max"] >= 0);
-        let records = sink.records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].kernel, "beam");
     }
 
     #[test]

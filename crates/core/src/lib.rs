@@ -13,9 +13,8 @@
 //!
 //! Detection phase (§IV-D): [`detect::DetectionEngine`] scores n-length
 //! call windows and raises the paper's four flags (Normal / Anomalous /
-//! DataLeak / OutOfContext); [`detect::OnlineDetector`] does the same
-//! streaming, as a [`CallSink`](adprom_trace::CallSink). For monitoring
-//! many sessions at once, [`runtime::MonitorRuntime`] demultiplexes an
+//! DataLeak / OutOfContext). Streaming monitoring — one session or many —
+//! runs through [`runtime::MonitorRuntime`]: it demultiplexes an
 //! interleaved stream into per-session scorers, replays their buffered
 //! windows across a thread pool (deterministic, arrival-order output),
 //! scores each distinct exact-mode window once per profile epoch, and
@@ -50,7 +49,7 @@ pub use adprom_hmm::Precision;
 pub use alphabet::{Alphabet, UNKNOWN};
 pub use baselines::{build_cmarkov, build_rand_hmm, strip_ctm, strip_label, strip_trace};
 pub use constructor::{build_profile, trace_windows, BuildReport, ConstructorConfig};
-pub use detect::{Alert, DetectionEngine, Flag, KernelConfig, OnlineDetector};
+pub use detect::{Alert, DetectionEngine, Flag, KernelConfig};
 pub use extensions::{ExtensionAlert, ExtensionKind, FileLabelMonitor, QuerySignatureMonitor};
 pub use init::{build_ctvs, init_from_pctm, InitConfig, InitializedModel};
 pub use metrics::{fn_rate_at_fp, roc_curve, Confusion, RocPoint};

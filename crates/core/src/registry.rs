@@ -8,16 +8,15 @@
 //!
 //! * [`ProfileRegistry::register`] validates the incoming profile
 //!   ([`Profile::validate`]) and resolves the configured scoring kernel
-//!   against it (validated CSR build, falling back to dense on a corrupt
-//!   model) **before** publishing — a bad profile can never replace a good
-//!   one, it is rejected and the old epoch stays in force;
+//!   against it (validated CSR build) **before** publishing — a bad
+//!   profile, or one the CSR build refuses, can never replace a good one:
+//!   it is rejected and the old epoch stays in force;
 //! * publishing is an atomic `Arc` swap under a short write lock: readers
 //!   ([`ProfileRegistry::current`]) grab an `Arc<ProfileEpoch>` and score
 //!   against it lock-free from then on, so **in-flight windows finish on
 //!   the epoch they started with** while new sessions pick up the new one;
-//! * each app carries a [`HealthMonitor`]: rejected swaps and kernel
-//!   downgrades degrade the app's health so operators see which tenant is
-//!   running stale or slow.
+//! * each app carries a [`HealthMonitor`]: rejected swaps degrade the
+//!   app's health so operators see which tenant is running stale.
 //!
 //! The expensive per-profile work — the CSR decomposition — happens once
 //! per epoch, here; every scorer/engine/detector built from the epoch
@@ -28,7 +27,7 @@ use crate::profile::{LoadPolicy, Profile, ProfileDefect, ProfileIoError};
 use crate::resilience::HealthMonitor;
 use crate::scorer::{KernelStatus, WindowScorer};
 use crate::telemetry::RegistryMetrics;
-use adprom_hmm::Precision;
+use adprom_hmm::{HmmError, Precision};
 use adprom_obs::Registry;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -64,8 +63,7 @@ impl ProfileEpoch {
         &self.profile
     }
 
-    /// Requested/effective kernel for this epoch and the downgrade
-    /// reason, if CSR validation refused the requested one.
+    /// Kernel, precision and batch width this epoch scores with.
     pub fn kernel_status(&self) -> &KernelStatus {
         &self.status
     }
@@ -94,6 +92,9 @@ pub enum SwapError {
     Invalid(ProfileDefect),
     /// The profile failed to load from disk.
     Io(ProfileIoError),
+    /// The configured kernel's validated CSR build refused the profile's
+    /// model; carries the reason.
+    KernelRefused(HmmError),
 }
 
 impl std::fmt::Display for SwapError {
@@ -101,6 +102,7 @@ impl std::fmt::Display for SwapError {
         match self {
             SwapError::Invalid(defect) => write!(f, "profile rejected: {defect}"),
             SwapError::Io(e) => write!(f, "profile load failed: {e}"),
+            SwapError::KernelRefused(e) => write!(f, "CSR validation refused the profile: {e}"),
         }
     }
 }
@@ -168,7 +170,7 @@ impl ProfileRegistry {
     }
 
     /// Registers metric handles (`registry.apps`, `registry.swaps`,
-    /// `registry.swaps_rejected`, `registry.kernel_fallbacks`).
+    /// `registry.swaps_rejected`).
     pub fn with_registry(mut self, registry: &Registry) -> ProfileRegistry {
         self.metrics = RegistryMetrics::from_registry(registry);
         self
@@ -180,41 +182,32 @@ impl ProfileRegistry {
     /// epoch keep working on their own `Arc` — in-flight windows finish on
     /// the old epoch.
     ///
-    /// On failure the old epoch (if any) stays in force, the app's health
-    /// degrades, and `registry.swaps_rejected` ticks.
+    /// On failure — a profile that fails [`Profile::validate`], or one
+    /// the configured kernel's CSR build refuses
+    /// ([`SwapError::KernelRefused`]) — the old epoch (if any) stays in
+    /// force, the app's health degrades with the reason, and
+    /// `registry.swaps_rejected` ticks.
     pub fn register(&self, app: &str, profile: Profile) -> Result<u64, SwapError> {
         if let Err(defect) = profile.validate() {
-            let mut apps = self.apps.write().expect("registry poisoned");
-            if let Some(entry) = apps.get_mut(app) {
-                entry
-                    .health
-                    .degrade(&format!("hot-swap rejected for `{app}`: {defect}"));
-            }
-            self.metrics.swaps_rejected.inc();
+            self.reject(app, &format!("hot-swap rejected for `{app}`: {defect}"));
             return Err(SwapError::Invalid(defect));
         }
         // Resolve the kernel outside the lock — CSR construction is the
         // expensive part of a swap and must not block readers.
         let profile = Arc::new(profile);
-        let (kernel, status) = match KernelState::build_validated(self.kernel, &profile) {
-            Ok(kernel) => (kernel, KernelStatus::in_force(self.kernel.label())),
-            Err(reason) => (
-                KernelState::Dense,
-                KernelStatus::fallen_back(
-                    self.kernel.label(),
-                    "dense",
-                    format!(
-                        "{} kernel refused by CSR validation, using dense: {reason}",
-                        self.kernel.label()
-                    ),
-                ),
-            ),
+        let kernel = match KernelState::build_validated(self.kernel, &profile) {
+            Ok(kernel) => kernel,
+            Err(reason) => {
+                let err = SwapError::KernelRefused(reason);
+                self.reject(app, &format!("hot-swap rejected for `{app}`: {err}"));
+                return Err(err);
+            }
         };
         // The published status reports the caps the epoch's scorers will
         // run with (precision, batch width) — derived through the scorer
         // itself so registry snapshots can never drift from what scores.
         let status = WindowScorer::new(Arc::clone(&profile))
-            .with_kernel_state(kernel.clone(), status)
+            .with_kernel_state(kernel.clone(), KernelStatus::in_force(self.kernel.label()))
             .with_precision(self.precision)
             .status()
             .clone();
@@ -223,10 +216,6 @@ impl ProfileRegistry {
             Some(entry) => (entry.current.epoch + 1, entry.health.clone()),
             None => (1, HealthMonitor::new()),
         };
-        if let Some(reason) = &status.fallback_reason {
-            self.metrics.kernel_fallbacks.inc();
-            health.degrade(&format!("app `{app}` epoch {epoch}: {reason}"));
-        }
         let published = Arc::new(ProfileEpoch {
             app: app.to_string(),
             epoch,
@@ -254,16 +243,19 @@ impl ProfileRegistry {
     /// [`ProfileRegistry::register`].
     pub fn load_file(&self, app: &str, path: &Path) -> Result<u64, SwapError> {
         let profile = Profile::load_with(path, self.policy).map_err(|e| {
-            let mut apps = self.apps.write().expect("registry poisoned");
-            if let Some(entry) = apps.get_mut(app) {
-                entry
-                    .health
-                    .degrade(&format!("hot-swap load failed for `{app}`: {e}"));
-            }
-            self.metrics.swaps_rejected.inc();
+            self.reject(app, &format!("hot-swap load failed for `{app}`: {e}"));
             SwapError::Io(e)
         })?;
         self.register(app, profile)
+    }
+
+    /// Books a refused swap: the app's health (once it has an epoch)
+    /// degrades with `reason`, and `registry.swaps_rejected` ticks.
+    fn reject(&self, app: &str, reason: &str) {
+        if let Some(entry) = self.apps.write().expect("registry poisoned").get_mut(app) {
+            entry.health.degrade(reason);
+        }
+        self.metrics.swaps_rejected.inc();
     }
 
     /// The current epoch for `app` — an `Arc` snapshot; score against it
@@ -460,9 +452,8 @@ mod tests {
     #[test]
     fn validated_profile_keeps_requested_kernel() {
         // Profile validation (1e-6) is stricter than CSR reconstruction
-        // (1e-5), so a profile that passes `register`'s gate never trips
-        // the dense fallback; the fallback branch guards future kernels
-        // with tighter requirements.
+        // (1e-5), so a profile that passes `register`'s gate is never
+        // refused by the CSR build.
         let reg_metrics = Registry::new();
         let registry = ProfileRegistry::new()
             .with_kernel(KernelConfig::Sparse {
@@ -473,11 +464,66 @@ mod tests {
             .register("bank", cyclic_profile("bank", -5.0))
             .unwrap();
         let epoch = registry.current("bank").unwrap();
-        assert!(!epoch.kernel_status().fell_back());
+        assert_eq!(epoch.kernel_status().effective, "sparse");
         assert_eq!(
-            reg_metrics.snapshot().counter("registry.kernel_fallbacks"),
+            reg_metrics.snapshot().counter("registry.swaps_rejected"),
             Some(0)
         );
+    }
+
+    #[test]
+    fn csr_refusal_rejects_the_registration() {
+        // A negative fold epsilon passes `Profile::validate` (it is kernel
+        // configuration, not profile data) and is refused by the CSR build.
+        let refusing = KernelConfig::Sparse {
+            sparse: SparseConfig {
+                epsilon: -1.0,
+                ..SparseConfig::default()
+            },
+        };
+        let reg_metrics = Registry::new();
+        let registry = ProfileRegistry::new()
+            .with_kernel(refusing)
+            .with_registry(&reg_metrics);
+        // A first registration publishes nothing.
+        let err = registry.register("bank", cyclic_profile("bank", -5.0));
+        assert!(matches!(err, Err(SwapError::KernelRefused(_))), "{err:?}");
+        assert!(registry.is_empty());
+        assert!(registry.current("bank").is_none());
+        assert_eq!(
+            reg_metrics.snapshot().counter("registry.swaps_rejected"),
+            Some(1)
+        );
+
+        // A later one leaves the old epoch current, with the reason in
+        // the app's health.
+        let registry = registry.with_kernel(KernelConfig::Dense);
+        assert_eq!(
+            registry
+                .register("bank", cyclic_profile("bank", -5.0))
+                .unwrap(),
+            1
+        );
+        let registry = registry.with_kernel(refusing);
+        let err = registry
+            .register("bank", cyclic_profile("bank", -7.0))
+            .unwrap_err();
+        let reason = err.to_string();
+        assert!(reason.contains("CSR validation"), "{reason}");
+        let current = registry.current("bank").unwrap();
+        assert_eq!(current.epoch(), 1);
+        assert_eq!(current.profile().threshold, -5.0);
+        assert_eq!(current.kernel_status().effective, "dense");
+        let health = registry.health("bank").unwrap();
+        assert_eq!(health.state(), Health::Degraded);
+        assert!(
+            health.reasons().iter().any(|r| r.contains(&reason)),
+            "{:?}",
+            health.reasons()
+        );
+        let snap = reg_metrics.snapshot();
+        assert_eq!(snap.counter("registry.swaps_rejected"), Some(2));
+        assert_eq!(snap.counter("registry.swaps"), Some(1));
     }
 
     #[test]

@@ -391,7 +391,7 @@ impl<W: Write> Write for FaultyWriter<W> {
 }
 
 /// Pipeline health, coarsest first. Transitions are monotonic within a
-/// run: recovered faults (retries, quarantines, kernel downgrades,
+/// run: recovered faults (retries, quarantines, rejected profile swaps,
 /// overload episodes) reach `Degraded`; an unrecoverable session reaches
 /// `Failed`. [`HealthMonitor::reset`] re-arms between runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

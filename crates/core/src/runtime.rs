@@ -1639,6 +1639,14 @@ mod tests {
         let records = sink.records();
         assert_eq!(records.len(), alarm_total);
         for record in &records {
+            // Stamped with the alarming session and the kernel that
+            // scored it.
+            let report = reports
+                .iter()
+                .find(|r| r.app == record.app && r.session == record.session)
+                .expect("record names a session");
+            assert!(report.alarms().count() > 0);
+            assert_eq!(record.kernel, report.kernel.effective);
             let forensics = record.forensics.as_ref().expect("every alarm explained");
             assert!(!forensics.top_deviant.is_empty());
             assert_eq!(
@@ -1654,6 +1662,10 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(
             snap.counter("monitor.forensics.reports"),
+            Some(alarm_total as u64)
+        );
+        assert_eq!(
+            snap.counter("detect.kernel.dense"),
             Some(alarm_total as u64)
         );
 
@@ -2118,36 +2130,6 @@ mod tests {
         assert_eq!(runtime.memo_entries, 0);
         runtime.finish();
         assert_eq!(memo_counters(&obs), (Some(0), Some(0)));
-
-        // A beam kernel evaluates (and prunes, and bounds) every window.
-        let obs = Registry::new();
-        let registry = ProfileRegistry::new().with_kernel(KernelConfig::Beam {
-            sparse: adprom_hmm::SparseConfig::default(),
-            beam: BeamConfig {
-                top_k: Some(1),
-                mass_epsilon: 0.0,
-            },
-        });
-        registry
-            .register("bank", cyclic_profile("bank", -5.0))
-            .unwrap();
-        let mut runtime = MonitorRuntime::new(Arc::new(registry))
-            .with_registry(&obs)
-            .with_config(RuntimeConfig {
-                queue_capacity: 8,
-                ..RuntimeConfig::default()
-            });
-        runtime.ingest_stream(&stream);
-        runtime.flush();
-        assert_eq!(runtime.memo_entries, 0);
-        runtime.finish();
-        assert_eq!(memo_counters(&obs), (Some(0), Some(0)));
-        let snap = obs.snapshot();
-        assert_eq!(
-            snap.counter("beam.windows_pruned"),
-            snap.counter("detect.windows_scored")
-        );
-        assert!(snap.gauge("beam.gap_bound_micronats_max").unwrap() > 0);
 
         // A flight recorder attributes each alarm from the pass that
         // scored its window.

@@ -2,16 +2,15 @@
 //!
 //! [`WindowScorer`] owns everything needed to turn call windows into
 //! [`Alert`]s — the `Arc`-shared [`Profile`], the resolved scoring kernel
-//! (dense / sparse CSR / beam), the detection threshold, metric handles,
-//! and an optional audit log. [`DetectionEngine`](crate::detect::DetectionEngine),
-//! [`OnlineDetector`](crate::detect::OnlineDetector), and
-//! [`MonitorRuntime`](crate::runtime::MonitorRuntime) are thin shells over
-//! it: every forward pass, every [`Flag::classify`] decision, and every
-//! metrics/audit observation in the crate funnels through this one type,
-//! so the three paths cannot drift apart.
+//! (dense or sparse CSR), the detection threshold, metric handles, and an
+//! optional audit log. [`DetectionEngine`](crate::detect::DetectionEngine)
+//! and [`MonitorRuntime`](crate::runtime::MonitorRuntime) are thin shells
+//! over it: every forward pass, every [`Flag::classify`] decision, and
+//! every metrics/audit observation in the crate funnels through this one
+//! type, so the two paths cannot drift apart.
 //!
 //! [`SessionScorer`] is the streaming counterpart: the per-session state a
-//! multiplexing runtime keeps while events arrive one at a time. It
+//! multiplexing runtime keeps while events arrive in batches. It
 //! reproduces the batch scanners event-for-event — exact mode emits the
 //! same π-anchored window alerts as [`WindowScorer::scan`], incremental
 //! mode the same conditional [`SlidingState`] alerts as
@@ -23,9 +22,9 @@ use crate::detect::{Alert, Flag, KernelConfig, KernelState};
 use crate::profile::Profile;
 use crate::telemetry::{audit_record_from_alert, DetectMetrics};
 use adprom_hmm::{
-    forward_beam, log_likelihood, log_likelihood_sparse,
-    score_windows_batch as sparse_windows_batch, step_scores, step_scores_sparse, BatchScores,
-    BeamConfig, F32Kernel, Precision, SlidingState, SlidingStats, StepScores,
+    log_likelihood, log_likelihood_sparse, score_windows_batch as sparse_windows_batch,
+    step_scores, step_scores_sparse, BatchScores, BeamConfig, F32Kernel, Precision, SlidingState,
+    SlidingStats, StepScores,
 };
 use adprom_obs::{AuditLog, DeviantTransition, ForensicReport, Registry, WindowTrace};
 use adprom_trace::CallEvent;
@@ -73,24 +72,20 @@ impl Default for ForensicsConfig {
     }
 }
 
-/// Unified kernel reporting: which kernel was asked for, which is actually
-/// scoring, and why they differ (CSR validation refusing a corrupt model).
-/// One struct serves reports, metrics, health reasons, and the
-/// `bench_detect` JSON — replacing the old `kernel_label()` /
-/// `kernel_fallback()` split.
+/// Unified kernel reporting: which kernel was asked for, which is scoring,
+/// and the precision and batch width it scores with. One struct serves
+/// session reports, audit records and the `bench_detect` JSON.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStatus {
-    /// The kernel the caller configured (`dense`, `sparse`, `beam`).
+    /// The kernel the caller configured (`dense` or `sparse`).
     pub requested: String,
-    /// The kernel actually scoring windows. Differs from `requested` only
-    /// when validation forced a downgrade — and then it is always `dense`.
+    /// The kernel scoring windows — always the requested one: a profile
+    /// whose CSR fails validation is rejected at registration, never
+    /// downgraded.
     pub effective: String,
-    /// Why `effective != requested`, when it is (`None` while the
-    /// requested kernel is in force).
-    pub fallback_reason: Option<String>,
     /// Scoring precision in force: `f64`, or `f32-verified` when the
-    /// guard-banded f32 fast path is scoring (sparse kernels only — dense
-    /// and beam kernels transparently stay `f64`, see
+    /// guard-banded f32 fast path is scoring (sparse kernel only — the
+    /// dense kernel transparently stays `f64`, see
     /// [`WindowScorer::with_precision`]).
     pub precision: String,
     /// Widest window-batch the scorer's batched paths hand the kernel in
@@ -115,29 +110,10 @@ impl KernelStatus {
         KernelStatus {
             requested: label.to_string(),
             effective: label.to_string(),
-            fallback_reason: None,
             precision: "f64".to_string(),
             batch_width: 1,
             gap_bound_micronats: 0,
         }
-    }
-
-    /// The requested kernel was refused; `effective` (dense) scores
-    /// instead, for `reason`.
-    pub fn fallen_back(requested: &str, effective: &str, reason: String) -> KernelStatus {
-        KernelStatus {
-            requested: requested.to_string(),
-            effective: effective.to_string(),
-            fallback_reason: Some(reason),
-            precision: "f64".to_string(),
-            batch_width: 1,
-            gap_bound_micronats: 0,
-        }
-    }
-
-    /// True when the effective kernel differs from the requested one.
-    pub fn fell_back(&self) -> bool {
-        self.fallback_reason.is_some()
     }
 }
 
@@ -246,7 +222,7 @@ pub struct WindowScorer {
     threshold: f64,
     /// Scoring kernel resolved against the profile (dense by default).
     kernel: KernelState,
-    /// Requested/effective kernel and the downgrade reason, if any.
+    /// Requested/effective kernel, precision and batch width.
     status: KernelStatus,
     /// Scoring precision policy (pure f64 by default).
     precision: Precision,
@@ -281,38 +257,11 @@ impl WindowScorer {
 
     /// Selects the scoring kernel, building the CSR decomposition from the
     /// profile when `config` needs one (unvalidated — the trusted-profile
-    /// path).
+    /// path; [`ProfileRegistry::register`](crate::registry::ProfileRegistry::register)
+    /// is the validated one).
     pub fn with_kernel(mut self, config: KernelConfig) -> WindowScorer {
         self.kernel = KernelState::build(config, &self.profile);
         self.status = KernelStatus::in_force(config.label());
-        self.rebuild_fast();
-        self
-    }
-
-    /// Selects the scoring kernel with CSR validation: a profile whose
-    /// model fails validation (non-finite entries, rows drifted from
-    /// stochasticity) degrades to the dense kernel instead of scoring
-    /// through a corrupt decomposition. [`WindowScorer::status`] carries
-    /// the downgrade reason; since the sparse kernel was never built,
-    /// degraded output is bit-identical to a dense-kernel run.
-    pub fn with_kernel_validated(mut self, config: KernelConfig) -> WindowScorer {
-        match KernelState::build_validated(config, &self.profile) {
-            Ok(kernel) => {
-                self.kernel = kernel;
-                self.status = KernelStatus::in_force(config.label());
-            }
-            Err(reason) => {
-                self.kernel = KernelState::Dense;
-                self.status = KernelStatus::fallen_back(
-                    config.label(),
-                    "dense",
-                    format!(
-                        "{} kernel refused by CSR validation, using dense: {reason}",
-                        config.label()
-                    ),
-                );
-            }
-        }
         self.rebuild_fast();
         self
     }
@@ -339,9 +288,8 @@ impl WindowScorer {
     /// score gap stays under the band (measured ≈ 1e-4 nats on
     /// paper-scale profiles, against a 0.25-nat default band; the
     /// precision proptests and the `bench_detect --simd` `flags_match_f64`
-    /// record pin this). Dense and beam kernels have no f32 mirror — beam
-    /// pruning decisions in f32 could diverge unboundedly — and
-    /// transparently keep scoring in f64, which
+    /// record pin this). The dense kernel has no f32 mirror and
+    /// transparently keeps scoring in f64, which
     /// [`KernelStatus::precision`] reports.
     pub fn with_precision(mut self, precision: Precision) -> WindowScorer {
         self.precision = precision;
@@ -405,7 +353,7 @@ impl WindowScorer {
         &self.profile
     }
 
-    /// Requested/effective kernel and the downgrade reason, if any.
+    /// Requested/effective kernel, precision and batch width.
     pub fn status(&self) -> &KernelStatus {
         &self.status
     }
@@ -449,8 +397,7 @@ impl WindowScorer {
     }
 
     /// `log P(window | λ)` for a window of call names, computed by the
-    /// configured kernel. Beam-pruned scores are lower bounds; the worst
-    /// per-window gap feeds the `beam.gap_bound_micronats_max` gauge.
+    /// configured kernel.
     pub fn score(&self, names: &[String]) -> f64 {
         let encoded = self.profile.alphabet.encode_seq(names);
         self.score_encoded(&encoded)
@@ -474,12 +421,11 @@ impl WindowScorer {
 
     /// [`WindowScorer::score_windows_batch`] over already-encoded windows,
     /// optionally carrying each lane's per-step factors (the forensic
-    /// path). Sparse kernels score all lanes in one pass — in f32 with
-    /// guard-band f64 rescoring under [`Precision::F32Verified`]; dense
-    /// and beam kernels score lane by lane through the scalar dispatch
-    /// (beam pruning is stateful per window, and both keep their metric
-    /// side effects), so every caller batches through this one entry
-    /// point regardless of kernel.
+    /// path). The sparse kernel scores all lanes in one pass — in f32 with
+    /// guard-band f64 rescoring under [`Precision::F32Verified`]; the
+    /// dense kernel scores lane by lane through the scalar dispatch, so
+    /// every caller batches through this one entry point regardless of
+    /// kernel.
     pub(crate) fn score_batch_encoded(
         &self,
         windows: &[&[usize]],
@@ -523,7 +469,7 @@ impl WindowScorer {
                 self.metrics.f32_rescored.add(rescored);
                 out
             }
-            _ => {
+            KernelState::Dense => {
                 let mut scores = Vec::with_capacity(windows.len());
                 let mut steps = want_steps.then(|| Vec::with_capacity(windows.len()));
                 for window in windows {
@@ -579,18 +525,6 @@ impl WindowScorer {
         match &self.kernel {
             KernelState::Dense => log_likelihood(&self.profile.hmm, encoded),
             KernelState::Sparse(sp) => log_likelihood_sparse(&self.profile.hmm, sp, encoded),
-            KernelState::Beam(sp, beam) => {
-                let run = forward_beam(&self.profile.hmm, sp, encoded, beam);
-                if run.pruned_states > 0 {
-                    self.metrics.beam_windows_pruned.inc();
-                }
-                // The gauge is integral micro-nats; an infinite bound
-                // (pruning starved the chain) saturates it.
-                self.metrics
-                    .beam_gap_bound_max
-                    .record_max(gap_micronats(run.gap_bound));
-                run.pass.log_likelihood
-            }
         }
     }
 
@@ -612,18 +546,11 @@ impl WindowScorer {
         match &self.kernel {
             KernelState::Dense => step_scores(&self.profile.hmm, encoded),
             KernelState::Sparse(sp) => step_scores_sparse(&self.profile.hmm, sp, encoded),
-            KernelState::Beam(sp, beam) => {
-                let run = forward_beam(&self.profile.hmm, sp, encoded, beam);
-                StepScores {
-                    steps: run.step_log,
-                    log_likelihood: run.pass.log_likelihood,
-                }
-            }
         }
     }
 
     /// The forensic *scoring* path: one forward pass that yields both the
-    /// window's score and its per-step factors, with the same beam metric
+    /// window's score and its per-step factors, with the same f32 metric
     /// observations as [`WindowScorer::score`] — so a forensics-enabled
     /// session scores each window exactly once.
     pub(crate) fn score_attributed_encoded(&self, encoded: &[usize]) -> StepScores {
@@ -642,23 +569,7 @@ impl WindowScorer {
             self.metrics.f32_rescored.inc();
             return step_scores_sparse(&self.profile.hmm, sp, encoded);
         }
-        match &self.kernel {
-            KernelState::Dense => step_scores(&self.profile.hmm, encoded),
-            KernelState::Sparse(sp) => step_scores_sparse(&self.profile.hmm, sp, encoded),
-            KernelState::Beam(sp, beam) => {
-                let run = forward_beam(&self.profile.hmm, sp, encoded, beam);
-                if run.pruned_states > 0 {
-                    self.metrics.beam_windows_pruned.inc();
-                }
-                self.metrics
-                    .beam_gap_bound_max
-                    .record_max(gap_micronats(run.gap_bound));
-                StepScores {
-                    steps: run.step_log,
-                    log_likelihood: run.pass.log_likelihood,
-                }
-            }
-        }
+        self.attribution_encoded(encoded)
     }
 
     /// Classifies one window of events, stamping `session` on any audit
@@ -730,13 +641,10 @@ impl WindowScorer {
         self.metrics.windows_scored.inc();
         self.metrics.flag_counter(alert.flag).inc();
         if alert.is_alarm() {
-            // Attribute every flagged window to the kernel that scored it
-            // — beam scores are approximate, so forensics must be able to
-            // tell which path raised an alarm.
+            // Attribute every flagged window to the kernel that scored it.
             match &self.kernel {
                 KernelState::Dense => self.metrics.kernel_dense.inc(),
                 KernelState::Sparse(_) => self.metrics.kernel_sparse.inc(),
-                KernelState::Beam(..) => self.metrics.kernel_beam.inc(),
             }
             if let Some(audit) = &self.audit {
                 audit.record(audit_record_from_alert(
@@ -852,16 +760,8 @@ impl WindowScorer {
         let labeled_prefix = prefix(&labeled);
 
         let mut sliding = SlidingState::new(self.profile.hmm.n_states(), n);
-        // The configured kernel carries into the per-event scorer: sparse
-        // propagation, plus per-step beam pruning for beam configs.
-        let kernel = match &self.kernel {
-            KernelState::Dense => None,
-            KernelState::Sparse(sp) => Some(sp.as_ref()),
-            KernelState::Beam(sp, beam) => {
-                sliding = sliding.with_beam(*beam);
-                Some(sp.as_ref())
-            }
-        };
+        // The configured kernel carries into the per-event scorer.
+        let kernel = self.kernel.sparse();
         let mut alerts = Vec::with_capacity(events.len().saturating_sub(n) + 1);
         let mut emit = |start: usize, end: usize, ll: f64| {
             // The shared precedence rule ([`Flag::classify`]), driven by
@@ -902,14 +802,6 @@ impl WindowScorer {
                     emit(t + 1 - n, t + 1, score);
                 }
             }
-        }
-        if matches!(self.kernel, KernelState::Beam(..)) {
-            // `gap_bound` bounds the score error of *every* window this
-            // trace produced, so it feeds the same running-max gauge the
-            // exact path uses.
-            self.metrics
-                .beam_gap_bound_max
-                .record_max(gap_micronats(sliding.gap_bound()));
         }
         (alerts, sliding.stats())
     }
@@ -967,8 +859,9 @@ fn score_memoized(
     scores
 }
 
-/// Beam gap bound in integral micro-nats for the running-max gauge; an
-/// infinite bound (pruning starved the chain) saturates it.
+/// Beam gap bound in integral micro-nats, as session reports and audit
+/// records carry it; an infinite bound (pruning starved the chain)
+/// saturates it.
 pub(crate) fn gap_micronats(bound: f64) -> i64 {
     if bound.is_finite() {
         (bound * 1e6).ceil() as i64
@@ -1182,8 +1075,8 @@ struct TierState {
     /// sessions rank as unknown rather than safe).
     margin: f64,
     /// True when the tier machinery installed (and so may suspend/resume)
-    /// the sliding beam; false for dense kernels (nothing to prune) and
-    /// beam kernels (the beam is baseline semantics, never suspended).
+    /// the sliding beam; false for the dense kernel (nothing to prune) and
+    /// for a beam that can never prune.
     owns_beam: bool,
     /// Tier provenance of alarms since the last drain.
     stamps: Vec<TierStamp>,
@@ -1209,13 +1102,13 @@ struct FlightRecorder {
 
 /// The per-session streaming state of one monitored connection: the
 /// last ≤ n events' facts plus (in incremental mode) the sliding forward
-/// recurrence. Feed events with [`SessionScorer::push`]; close the
-/// session with [`SessionScorer::finalize`] to emit the single short
-/// window of a trace that never filled a full one.
+/// recurrence. The monitor runtime feeds it batches of digested events
+/// (`push_facts`); close the session with [`SessionScorer::finalize`] to
+/// emit the single short window of a trace that never filled a full one.
 ///
-/// Equivalence contract (what the interleaving proptest pins): pushing a
+/// Equivalence contract (what the interleaving proptest pins): feeding a
 /// session's events through a `SessionScorer` — in any interleaving with
-/// other sessions — produces exactly the alerts of
+/// other sessions, in batches of any size — produces exactly the alerts of
 /// [`WindowScorer::scan`] (exact mode) or
 /// [`WindowScorer::scan_incremental`] (incremental mode) over the
 /// de-interleaved trace, bit for bit.
@@ -1240,13 +1133,8 @@ impl SessionScorer {
     /// kernel.
     pub fn new(scorer: &WindowScorer, mode: ScoringMode) -> SessionScorer {
         let window = scorer.profile.window;
-        let sliding = (mode == ScoringMode::Incremental).then(|| {
-            let state = SlidingState::new(scorer.profile.hmm.n_states(), window);
-            match scorer.kernel() {
-                KernelState::Beam(_, beam) => state.with_beam(*beam),
-                _ => state,
-            }
-        });
+        let sliding = (mode == ScoringMode::Incremental)
+            .then(|| SlidingState::new(scorer.profile.hmm.n_states(), window));
         SessionScorer {
             mode,
             window,
@@ -1303,8 +1191,7 @@ impl SessionScorer {
     /// ([`SlidingState::set_beam_active`]) — pushes stay exact until a
     /// demotion activates pruning. No-op outside incremental mode (tiers
     /// modulate the sliding recurrence; exact mode has nothing to
-    /// degrade) — and for a beam kernel, whose always-on beam is baseline
-    /// semantics and is never toggled. Must be called before any push.
+    /// degrade). Must be called before the session is fed.
     pub fn with_tier_support(
         mut self,
         scorer: &WindowScorer,
@@ -1314,8 +1201,7 @@ impl SessionScorer {
         if self.mode != ScoringMode::Incremental {
             return self;
         }
-        let owns_beam = matches!(scorer.kernel(), KernelState::Sparse(_))
-            && (beam.top_k.is_some() || beam.mass_epsilon > 0.0);
+        let owns_beam = matches!(scorer.kernel(), KernelState::Sparse(_)) && beam.is_active();
         if owns_beam {
             if let Some(state) = self.sliding.take() {
                 let mut state = state.with_beam(beam);
@@ -1413,11 +1299,6 @@ impl SessionScorer {
             .unwrap_or_default()
     }
 
-    /// The streaming mode in force.
-    pub fn mode(&self) -> ScoringMode {
-        self.mode
-    }
-
     /// Events pushed so far.
     pub fn seen(&self) -> usize {
         self.seen
@@ -1431,75 +1312,11 @@ impl SessionScorer {
             .unwrap_or_default()
     }
 
-    /// Advances the session by one event; returns the alert of the window
-    /// ending at this event once at least `n` events have arrived.
-    pub fn push(
-        &mut self,
-        scorer: &WindowScorer,
-        event: &CallEvent,
-        session: &str,
-    ) -> Option<Alert> {
-        self.push_fact(scorer, scorer.digest(event), session)
-    }
-
-    /// [`SessionScorer::push`] with the digestion already done — the
-    /// monitor runtime digests at ingest (against the session's pinned
-    /// profile) and replays buffered facts here.
-    pub(crate) fn push_fact(
-        &mut self,
-        scorer: &WindowScorer,
-        fact: WindowEvent,
-        session: &str,
-    ) -> Option<Alert> {
-        assert!(!self.done, "session already finalized");
-        let profile = scorer.profile();
-        let encoded = fact.encoded;
-        if self.ring.len() == self.window {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(fact);
-        self.seen += 1;
-        match self.mode {
-            ScoringMode::ExactWindows => (self.ring.len() == self.window).then(|| {
-                let timer = scorer.metrics().score_ns.is_enabled().then(Instant::now);
-                let encoded: Vec<usize> = self.ring.iter().map(|f| f.encoded).collect();
-                // With forensics armed, the scoring pass itself yields the
-                // per-step factors — same recursion, same op order, one run.
-                let (ll, steps) = if self.flight.is_some() {
-                    let scored = scorer.score_attributed_encoded(&encoded);
-                    (scored.log_likelihood, Some(scored.steps))
-                } else {
-                    (scorer.score_encoded(&encoded), None)
-                };
-                if let Some(t0) = timer {
-                    scorer
-                        .metrics()
-                        .score_ns
-                        .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                }
-                self.emit(scorer, ll, ll, session, steps)
-            }),
-            ScoringMode::Incremental => {
-                let sliding = self.sliding.as_mut().expect("incremental state");
-                let kernel = match scorer.kernel() {
-                    KernelState::Dense => None,
-                    KernelState::Sparse(sp) | KernelState::Beam(sp, _) => Some(sp.as_ref()),
-                };
-                let ll = sliding.push(&profile.hmm, kernel, encoded);
-                if self.seen >= self.window {
-                    self.emit_scored(scorer, ll, session)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     /// Replays a batch of digested facts, appending each window's alert
-    /// to `out` — the monitor runtime's flush path. Alert-equivalent to
-    /// calling [`SessionScorer::push`] once per fact; exact mode
-    /// additionally hands every window that completes during the batch to
-    /// the kernel in lane-capped passes
+    /// to `out` — the one way a session is fed. Alerts do not depend on
+    /// how a stream is cut into batches: one fact per call emits what one
+    /// call with every fact does. Exact mode hands every window that
+    /// completes during the batch to the kernel in lane-capped passes
     /// ([`WindowScorer::score_batch_encoded`]), which is how multiplexed
     /// sessions sharing an app profile batch naturally — the scores are
     /// identical to scoring each window alone.
@@ -1507,11 +1324,9 @@ impl SessionScorer {
     /// With `memo` (the epoch's memo as it stood at flush start), exact
     /// mode scores only the windows it lacks — each distinct one once —
     /// and returns them for the caller to merge. The memo is bypassed
-    /// wherever a score is more than a function of the window: with the
-    /// flight recorder armed (an alarm's factors must come from the pass
-    /// that scored it) and under a beam kernel (its pruning counter and
-    /// gap-bound gauge advance per evaluated window). Incremental mode
-    /// never reads it.
+    /// with the flight recorder armed, where a score is more than a
+    /// function of the window: an alarm's factors must come from the pass
+    /// that scored it. Incremental mode never reads it.
     pub(crate) fn push_facts(
         &mut self,
         scorer: &WindowScorer,
@@ -1542,9 +1357,7 @@ impl SessionScorer {
                     .map(|e| &encoded[e + 1 - w..=e])
                     .collect();
                 let memo = memo.filter(|_| {
-                    self.flight.is_none()
-                        && !matches!(scorer.kernel(), KernelState::Beam(..))
-                        && scorer.profile().alphabet.len() <= MEMO_MAX_SYMBOLS
+                    self.flight.is_none() && scorer.profile().alphabet.len() <= MEMO_MAX_SYMBOLS
                 });
                 let timer = scorer.metrics().score_ns.is_enabled().then(Instant::now);
                 let scored = match memo {
@@ -1595,10 +1408,7 @@ impl SessionScorer {
             ScoringMode::Incremental => {
                 assert!(!self.done, "session already finalized");
                 let profile = scorer.profile();
-                let kernel = match scorer.kernel() {
-                    KernelState::Dense => None,
-                    KernelState::Sparse(sp) | KernelState::Beam(sp, _) => Some(sp.as_ref()),
-                };
+                let kernel = scorer.kernel().sparse();
                 for fact in facts {
                     let encoded = fact.encoded;
                     if self.ring.len() == self.window {
@@ -1621,19 +1431,12 @@ impl SessionScorer {
 
     /// Closes the session: a trace that never filled a full window emits
     /// its single short window now (matching the whole-trace scanners'
-    /// `len ≤ n` branch); longer traces emit nothing further. Also
-    /// surfaces the beam gap bound to the running-max gauge.
+    /// `len ≤ n` branch); longer traces emit nothing further.
     pub fn finalize(&mut self, scorer: &WindowScorer, session: &str) -> Option<Alert> {
         if self.done {
             return None;
         }
         self.done = true;
-        if let (Some(sliding), KernelState::Beam(..)) = (&self.sliding, scorer.kernel()) {
-            scorer
-                .metrics()
-                .beam_gap_bound_max
-                .record_max(gap_micronats(sliding.gap_bound()));
-        }
         if self.seen == 0 || self.seen >= self.window {
             return None;
         }
@@ -1956,22 +1759,42 @@ mod tests {
         ]
     }
 
+    /// `push_facts` batch sizes every streaming test runs: fact by fact,
+    /// and the whole trace as one batch.
+    const FEEDS: [usize; 2] = [1, usize::MAX];
+
+    /// Feeds `trace` through [`SessionScorer::push_facts`] in batches of
+    /// `batch` facts (no memo) and returns the alerts; the session stays
+    /// open.
+    fn feed(
+        state: &mut SessionScorer,
+        scorer: &WindowScorer,
+        trace: &[CallEvent],
+        batch: usize,
+    ) -> Vec<Alert> {
+        let facts: Vec<WindowEvent> = trace.iter().map(|e| scorer.digest(e)).collect();
+        let mut alerts = Vec::new();
+        for chunk in facts.chunks(batch) {
+            state.push_facts(scorer, chunk, "", &mut alerts, None);
+        }
+        alerts
+    }
+
     #[test]
     fn session_scorer_exact_matches_whole_trace_scan() {
         let scorer = WindowScorer::new(Arc::new(cyclic_profile()));
         for (i, trace) in traces().iter().enumerate() {
-            let expected = scorer.scan(trace, "");
-            let mut state = SessionScorer::new(&scorer, ScoringMode::ExactWindows);
-            let mut streamed: Vec<Alert> = trace
-                .iter()
-                .filter_map(|e| state.push(&scorer, e, ""))
-                .collect();
-            streamed.extend(state.finalize(&scorer, ""));
-            assert_eq!(
-                format!("{expected:?}"),
-                format!("{streamed:?}"),
-                "trace {i}: streaming must be bit-identical to scan"
-            );
+            let expected = format!("{:?}", scorer.scan(trace, ""));
+            for batch in FEEDS {
+                let mut state = SessionScorer::new(&scorer, ScoringMode::ExactWindows);
+                let mut streamed = feed(&mut state, &scorer, trace, batch);
+                streamed.extend(state.finalize(&scorer, ""));
+                assert_eq!(
+                    expected,
+                    format!("{streamed:?}"),
+                    "trace {i}, batch {batch}: streaming must be bit-identical to scan"
+                );
+            }
         }
     }
 
@@ -1980,87 +1803,88 @@ mod tests {
         let scorer = WindowScorer::new(Arc::new(cyclic_profile()));
         for (i, trace) in traces().iter().enumerate() {
             let (expected, stats) = scorer.scan_incremental(trace, "");
-            let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental);
-            let mut streamed: Vec<Alert> = trace
-                .iter()
-                .filter_map(|e| state.push(&scorer, e, ""))
-                .collect();
-            streamed.extend(state.finalize(&scorer, ""));
-            assert_eq!(
-                format!("{expected:?}"),
-                format!("{streamed:?}"),
-                "trace {i}: streaming must be bit-identical to scan_incremental"
-            );
-            assert_eq!(state.stats(), stats, "trace {i}: same push/reanchor totals");
+            for batch in FEEDS {
+                let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental);
+                let mut streamed = feed(&mut state, &scorer, trace, batch);
+                streamed.extend(state.finalize(&scorer, ""));
+                assert_eq!(
+                    format!("{expected:?}"),
+                    format!("{streamed:?}"),
+                    "trace {i}, batch {batch}: streaming must be bit-identical to scan_incremental"
+                );
+                assert_eq!(state.stats(), stats, "trace {i}: same push/reanchor totals");
+            }
         }
     }
 
     #[test]
     fn flight_recorder_attributes_alarms_and_stays_empty_when_benign() {
         let scorer = WindowScorer::new(Arc::new(cyclic_profile()));
-        // The trained cycle never alarms: no reports, and the recorder's
-        // pending list never allocates.
-        let benign = trace_from(&["a", "b", "c_Q7", "a", "b", "c_Q7"]);
-        let mut state = SessionScorer::new(&scorer, ScoringMode::ExactWindows)
-            .with_forensics(ForensicsConfig::default());
-        for e in &benign {
-            state.push(&scorer, e, "");
-        }
-        state.finalize(&scorer, "");
-        assert!(state.take_forensics().is_empty());
+        let mut first_reports = None;
+        for batch in FEEDS {
+            // The trained cycle never alarms: no reports, and the
+            // recorder's pending list never allocates.
+            let benign = trace_from(&["a", "b", "c_Q7", "a", "b", "c_Q7"]);
+            let mut state = SessionScorer::new(&scorer, ScoringMode::ExactWindows)
+                .with_forensics(ForensicsConfig::default());
+            feed(&mut state, &scorer, &benign, batch);
+            state.finalize(&scorer, "");
+            assert!(state.take_forensics().is_empty());
 
-        // An exfiltration call drives windows under threshold: one report
-        // per alarm, attributed bitwise to the alert's own score.
-        let attack = trace_from(&["a", "evil_exfil", "c_Q7", "a"]);
-        let mut state = SessionScorer::new(&scorer, ScoringMode::ExactWindows)
-            .with_forensics(ForensicsConfig::default());
-        let mut alerts: Vec<Alert> = attack
-            .iter()
-            .filter_map(|e| state.push(&scorer, e, ""))
-            .collect();
-        alerts.extend(state.finalize(&scorer, ""));
-        let alarms: Vec<&Alert> = alerts.iter().filter(|a| a.is_alarm()).collect();
-        assert!(!alarms.is_empty());
-        let reports = state.take_forensics();
-        assert_eq!(reports.len(), alarms.len());
-        for (report, alarm) in reports.iter().zip(&alarms) {
+            // An exfiltration call drives windows under threshold: one
+            // report per alarm, attributed bitwise to the alert's own score.
+            let attack = trace_from(&["a", "evil_exfil", "c_Q7", "a"]);
+            let mut state = SessionScorer::new(&scorer, ScoringMode::ExactWindows)
+                .with_forensics(ForensicsConfig::default());
+            let mut alerts = feed(&mut state, &scorer, &attack, batch);
+            alerts.extend(state.finalize(&scorer, ""));
             assert_eq!(
-                report.attributed_log_likelihood.to_bits(),
-                alarm.log_likelihood.to_bits(),
-                "exact mode attributes the alert's own score"
+                format!("{alerts:?}"),
+                format!("{:?}", scorer.scan(&attack, "")),
+                "batch {batch}"
             );
-            assert!(!report.top_deviant.is_empty());
-            assert!(report
-                .top_deviant
-                .windows(2)
-                .all(|w| w[0].log_prob <= w[1].log_prob));
-            assert_eq!(
-                report.alert_delta(),
-                Some(alarm.log_likelihood - alarm.threshold)
-            );
+            let alarms: Vec<&Alert> = alerts.iter().filter(|a| a.is_alarm()).collect();
+            assert!(!alarms.is_empty());
+            let reports = state.take_forensics();
+            assert_eq!(reports.len(), alarms.len());
+            for (report, alarm) in reports.iter().zip(&alarms) {
+                assert_eq!(
+                    report.attributed_log_likelihood.to_bits(),
+                    alarm.log_likelihood.to_bits(),
+                    "exact mode attributes the alert's own score"
+                );
+                assert!(!report.top_deviant.is_empty());
+                assert!(report
+                    .top_deviant
+                    .windows(2)
+                    .all(|w| w[0].log_prob <= w[1].log_prob));
+                assert_eq!(
+                    report.alert_delta(),
+                    Some(alarm.log_likelihood - alarm.threshold)
+                );
+            }
+            // Drained means drained: a second take returns nothing.
+            assert!(state.take_forensics().is_empty());
+            // Reports do not depend on how the stream was batched.
+            match &first_reports {
+                None => first_reports = Some(reports),
+                Some(first) => assert_eq!(first, &reports, "batch {batch}"),
+            }
         }
-        // Drained means drained: a second take returns nothing.
-        assert!(state.take_forensics().is_empty());
     }
 
     #[test]
     fn forensics_do_not_change_alerts() {
         let scorer = WindowScorer::new(Arc::new(cyclic_profile()));
-        for trace in traces() {
-            let mut plain = SessionScorer::new(&scorer, ScoringMode::ExactWindows);
-            let mut armed = SessionScorer::new(&scorer, ScoringMode::ExactWindows)
-                .with_forensics(ForensicsConfig::default());
-            let mut expected: Vec<Alert> = trace
-                .iter()
-                .filter_map(|e| plain.push(&scorer, e, ""))
-                .collect();
-            expected.extend(plain.finalize(&scorer, ""));
-            let mut got: Vec<Alert> = trace
-                .iter()
-                .filter_map(|e| armed.push(&scorer, e, ""))
-                .collect();
-            got.extend(armed.finalize(&scorer, ""));
-            assert_eq!(format!("{expected:?}"), format!("{got:?}"));
+        for (i, trace) in traces().iter().enumerate() {
+            let expected = format!("{:?}", scorer.scan(trace, ""));
+            for batch in FEEDS {
+                let mut armed = SessionScorer::new(&scorer, ScoringMode::ExactWindows)
+                    .with_forensics(ForensicsConfig::default());
+                let mut got = feed(&mut armed, &scorer, trace, batch);
+                got.extend(armed.finalize(&scorer, ""));
+                assert_eq!(expected, format!("{got:?}"), "trace {i}, batch {batch}");
+            }
         }
     }
 
@@ -2070,144 +1894,107 @@ mod tests {
         // session holds the full tier, nothing is ever pruned, the gap
         // bound stays zero, and every alert is bit-identical to the
         // unarmed incremental baseline — even with an aggressive beam.
-        let scorer = WindowScorer::new(Arc::new(cyclic_profile())).with_kernel_validated(
-            KernelConfig::Sparse {
+        let scorer =
+            WindowScorer::new(Arc::new(cyclic_profile())).with_kernel(KernelConfig::Sparse {
                 sparse: adprom_hmm::SparseConfig::default(),
-            },
-        );
+            });
         let beam = BeamConfig {
             top_k: Some(1),
             mass_epsilon: 0.0,
         };
         for (i, trace) in traces().iter().enumerate() {
-            let mut plain = SessionScorer::new(&scorer, ScoringMode::Incremental);
-            let mut armed = SessionScorer::new(&scorer, ScoringMode::Incremental)
-                .with_tier_support(&scorer, beam, 4);
-            assert_eq!(armed.tier(), ScoringTier::Full);
-            let mut expected: Vec<Alert> = trace
-                .iter()
-                .filter_map(|e| plain.push(&scorer, e, ""))
-                .collect();
-            expected.extend(plain.finalize(&scorer, ""));
-            let mut got: Vec<Alert> = trace
-                .iter()
-                .filter_map(|e| armed.push(&scorer, e, ""))
-                .collect();
-            got.extend(armed.finalize(&scorer, ""));
-            assert_eq!(
-                format!("{expected:?}"),
-                format!("{got:?}"),
-                "trace {i}: full tier must not perturb the baseline"
-            );
-            assert_eq!(armed.gap_bound(), 0.0, "trace {i}: beam never engaged");
+            let expected = format!("{:?}", scorer.scan_incremental(trace, "").0);
+            for batch in FEEDS {
+                let mut armed = SessionScorer::new(&scorer, ScoringMode::Incremental)
+                    .with_tier_support(&scorer, beam, 4);
+                assert_eq!(armed.tier(), ScoringTier::Full);
+                let mut got = feed(&mut armed, &scorer, trace, batch);
+                got.extend(armed.finalize(&scorer, ""));
+                assert_eq!(
+                    expected,
+                    format!("{got:?}"),
+                    "trace {i}, batch {batch}: full tier must not perturb the baseline"
+                );
+                assert_eq!(armed.gap_bound(), 0.0, "trace {i}: beam never engaged");
+            }
         }
     }
 
     #[test]
     fn spot_tier_skips_provably_normal_windows_and_carries_the_verdict() {
-        let registry = Registry::new();
-        let scorer = WindowScorer::new(Arc::new(cyclic_profile())).with_registry(&registry);
-        let beam = BeamConfig {
-            top_k: None,
-            mass_epsilon: 0.0,
-        };
-        let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental)
-            .with_tier_support(&scorer, beam, 4);
-        state.assign_tier(ScoringTier::SpotCheck);
-        assert_eq!(state.carried_verdict(), None, "no window emitted yet");
-        // Four benign cycles: 12 events, 10 windows. Only every fourth
-        // check emits (windows 4 and 8); the other eight are provably
-        // Normal — the exact score is at or above its lower bound, which
-        // clears the threshold — and are skipped.
-        let trace = trace_from(&[
-            "a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b", "c_Q7",
-        ]);
-        let alerts: Vec<Alert> = trace
-            .iter()
-            .filter_map(|e| state.push(&scorer, e, ""))
-            .collect();
-        assert!(state.finalize(&scorer, "").is_none());
-        assert_eq!(alerts.len(), 2, "every fourth window emits");
-        assert!(alerts.iter().all(|a| a.flag == Flag::Normal));
-        assert_eq!(state.carried_verdict(), Some(Flag::Normal));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("monitor.tier.spot.windows"), Some(2));
-        assert_eq!(snap.counter("monitor.tier.spot.skipped"), Some(8));
-        assert_eq!(snap.counter("monitor.tier.escalations"), Some(0));
+        for batch in FEEDS {
+            let registry = Registry::new();
+            let scorer = WindowScorer::new(Arc::new(cyclic_profile())).with_registry(&registry);
+            let beam = BeamConfig {
+                top_k: None,
+                mass_epsilon: 0.0,
+            };
+            let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental)
+                .with_tier_support(&scorer, beam, 4);
+            state.assign_tier(ScoringTier::SpotCheck);
+            assert_eq!(state.carried_verdict(), None, "no window emitted yet");
+            // Four benign cycles: 12 events, 10 windows. Only every fourth
+            // check emits (windows 4 and 8); the other eight are provably
+            // Normal — the exact score is at or above its lower bound,
+            // which clears the threshold — and are skipped.
+            let trace = trace_from(&[
+                "a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b", "c_Q7",
+            ]);
+            let alerts = feed(&mut state, &scorer, &trace, batch);
+            assert!(state.finalize(&scorer, "").is_none());
+            assert_eq!(alerts.len(), 2, "batch {batch}: every fourth window emits");
+            assert!(alerts.iter().all(|a| a.flag == Flag::Normal));
+            assert_eq!(state.carried_verdict(), Some(Flag::Normal));
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("monitor.tier.spot.windows"), Some(2));
+            assert_eq!(snap.counter("monitor.tier.spot.skipped"), Some(8));
+            assert_eq!(snap.counter("monitor.tier.escalations"), Some(0));
+        }
     }
 
     #[test]
     fn beam_tier_alarm_escalates_back_to_full_and_pins() {
-        let registry = Registry::new();
-        let scorer = WindowScorer::new(Arc::new(cyclic_profile()))
-            .with_kernel_validated(KernelConfig::Sparse {
-                sparse: adprom_hmm::SparseConfig::default(),
-            })
-            .with_registry(&registry);
-        let beam = BeamConfig {
-            top_k: Some(2),
-            mass_epsilon: 0.0,
-        };
-        let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental)
-            .with_tier_support(&scorer, beam, 4);
-        state.assign_tier(ScoringTier::BeamPruned);
-        assert_eq!(state.tier(), ScoringTier::BeamPruned);
-        // The exfiltration window alarms under the demoted tier: the
-        // session must escalate itself back to full scoring.
-        let attack = trace_from(&["a", "evil_exfil", "c_Q7", "a"]);
-        let mut alerts: Vec<Alert> = attack
-            .iter()
-            .filter_map(|e| state.push(&scorer, e, ""))
-            .collect();
-        alerts.extend(state.finalize(&scorer, ""));
-        assert!(
-            alerts.iter().any(Alert::is_alarm),
-            "the attack still alarms"
-        );
-        assert!(state.escalations() >= 1);
-        assert_eq!(state.tier(), ScoringTier::Full);
-        // An alarmed session is pinned: a later demotion is a no-op.
-        state.assign_tier(ScoringTier::SpotCheck);
-        assert_eq!(state.tier(), ScoringTier::Full);
-        let snap = registry.snapshot();
-        assert!(snap.counter("monitor.tier.escalations").unwrap() >= 1);
-        // Every alarm carries a tier stamp, in emit order.
-        let stamps = state.take_tier_stamps();
-        assert_eq!(stamps.len(), alerts.iter().filter(|a| a.is_alarm()).count());
-        assert_eq!(stamps[0].tier, ScoringTier::BeamPruned);
-        assert_eq!(
-            stamps[0].escalation.as_deref(),
-            Some("alarm raised below full tier")
-        );
-        assert!(state.take_tier_stamps().is_empty(), "drained means drained");
-    }
-
-    #[test]
-    fn kernel_status_reports_requested_and_effective() {
-        let healthy = WindowScorer::new(Arc::new(cyclic_profile())).with_kernel_validated(
-            KernelConfig::Sparse {
-                sparse: adprom_hmm::SparseConfig::default(),
-            },
-        );
-        assert_eq!(healthy.status().requested, "sparse");
-        assert_eq!(healthy.status().effective, "sparse");
-        assert!(!healthy.status().fell_back());
-
-        let mut poisoned = cyclic_profile();
-        poisoned.hmm.a_row_mut(0)[0] += 0.25;
-        let degraded =
-            WindowScorer::new(Arc::new(poisoned)).with_kernel_validated(KernelConfig::Sparse {
-                sparse: adprom_hmm::SparseConfig::default(),
-            });
-        assert_eq!(degraded.status().requested, "sparse");
-        assert_eq!(degraded.status().effective, "dense");
-        assert!(degraded.status().fell_back());
-        assert!(degraded
-            .status()
-            .fallback_reason
-            .as_deref()
-            .unwrap()
-            .contains("CSR validation"));
+        for batch in FEEDS {
+            let registry = Registry::new();
+            let scorer = WindowScorer::new(Arc::new(cyclic_profile()))
+                .with_kernel(KernelConfig::Sparse {
+                    sparse: adprom_hmm::SparseConfig::default(),
+                })
+                .with_registry(&registry);
+            let beam = BeamConfig {
+                top_k: Some(2),
+                mass_epsilon: 0.0,
+            };
+            let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental)
+                .with_tier_support(&scorer, beam, 4);
+            state.assign_tier(ScoringTier::BeamPruned);
+            assert_eq!(state.tier(), ScoringTier::BeamPruned);
+            // The exfiltration window alarms under the demoted tier: the
+            // session must escalate itself back to full scoring.
+            let attack = trace_from(&["a", "evil_exfil", "c_Q7", "a"]);
+            let mut alerts = feed(&mut state, &scorer, &attack, batch);
+            alerts.extend(state.finalize(&scorer, ""));
+            assert!(
+                alerts.iter().any(Alert::is_alarm),
+                "batch {batch}: the attack still alarms"
+            );
+            assert!(state.escalations() >= 1);
+            assert_eq!(state.tier(), ScoringTier::Full);
+            // An alarmed session is pinned: a later demotion is a no-op.
+            state.assign_tier(ScoringTier::SpotCheck);
+            assert_eq!(state.tier(), ScoringTier::Full);
+            let snap = registry.snapshot();
+            assert!(snap.counter("monitor.tier.escalations").unwrap() >= 1);
+            // Every alarm carries a tier stamp, in emit order.
+            let stamps = state.take_tier_stamps();
+            assert_eq!(stamps.len(), alerts.iter().filter(|a| a.is_alarm()).count());
+            assert_eq!(stamps[0].tier, ScoringTier::BeamPruned);
+            assert_eq!(
+                stamps[0].escalation.as_deref(),
+                Some("alarm raised below full tier")
+            );
+            assert!(state.take_tier_stamps().is_empty(), "drained means drained");
+        }
     }
 
     #[test]

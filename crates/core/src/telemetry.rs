@@ -37,12 +37,9 @@ pub struct DetectMetrics {
     /// `detect.kernel.sparse` — flagged windows scored by the exact sparse
     /// CSR kernel.
     pub kernel_sparse: Counter,
-    /// `detect.kernel.beam` — flagged windows scored with beam pruning
-    /// (scores approximate, bounded by `beam.gap_bound_micronats_max`).
-    pub kernel_beam: Counter,
     /// `detect.kernel.batch_windows` — windows scored through the batched
     /// sparse kernel (any precision); `windows_scored` minus this is the
-    /// lane-by-lane remainder (dense/beam kernels, short windows).
+    /// lane-by-lane remainder (dense kernel, short windows).
     pub batch_windows: Counter,
     /// `detect.kernel.f32_windows` — windows whose f32 fast-path score was
     /// accepted (landed outside the guard band around the threshold).
@@ -50,13 +47,6 @@ pub struct DetectMetrics {
     /// `detect.kernel.f32_rescored` — windows rescored in f64 because the
     /// f32 score landed inside the guard band (or was non-finite).
     pub f32_rescored: Counter,
-    /// `beam.windows_pruned` — beam-scored windows where at least one
-    /// state was pruned from α.
-    pub beam_windows_pruned: Counter,
-    /// `beam.gap_bound_micronats_max` — running maximum of the per-window
-    /// log-likelihood error bound, in micro-nats (the bound is a small
-    /// f64; gauges are integral, so it is scaled by 1e6 and rounded up).
-    pub beam_gap_bound_max: Gauge,
     /// `monitor.tier.full.windows` — windows emitted by tier-armed
     /// sessions while assigned the full-incremental tier.
     pub tier_full_windows: Counter,
@@ -94,12 +84,9 @@ impl DetectMetrics {
             score_ns: registry.histogram("detect.score_ns"),
             kernel_dense: registry.counter("detect.kernel.dense"),
             kernel_sparse: registry.counter("detect.kernel.sparse"),
-            kernel_beam: registry.counter("detect.kernel.beam"),
             batch_windows: registry.counter("detect.kernel.batch_windows"),
             f32_windows: registry.counter("detect.kernel.f32_windows"),
             f32_rescored: registry.counter("detect.kernel.f32_rescored"),
-            beam_windows_pruned: registry.counter("beam.windows_pruned"),
-            beam_gap_bound_max: registry.gauge("beam.gap_bound_micronats_max"),
             tier_full_windows: registry.counter("monitor.tier.full.windows"),
             tier_beam_windows: registry.counter("monitor.tier.beam.windows"),
             tier_spot_windows: registry.counter("monitor.tier.spot.windows"),
@@ -166,12 +153,10 @@ pub struct RegistryMetrics {
     /// `registry.swaps` — successful profile publications (first
     /// registration included).
     pub swaps: Counter,
-    /// `registry.swaps_rejected` — hot-swaps refused by validation or a
-    /// failed load; the old epoch stayed in force.
+    /// `registry.swaps_rejected` — hot-swaps refused by validation (the
+    /// profile's, or the kernel's CSR build) or a failed load; the old
+    /// epoch stayed in force.
     pub swaps_rejected: Counter,
-    /// `registry.kernel_fallbacks` — epochs published with a dense
-    /// fallback after CSR validation refused the requested kernel.
-    pub kernel_fallbacks: Counter,
 }
 
 impl RegistryMetrics {
@@ -186,7 +171,6 @@ impl RegistryMetrics {
             apps: registry.gauge("registry.apps"),
             swaps: registry.counter("registry.swaps"),
             swaps_rejected: registry.counter("registry.swaps_rejected"),
-            kernel_fallbacks: registry.counter("registry.kernel_fallbacks"),
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Property test pinning the precision policy's contract: under
 //! `Precision::F32Verified` the Detection Engine raises exactly the same
-//! flags as pure f64 — across dense, sparse and beam kernels, window
-//! sizes, and thresholds deliberately planted in the middle of the score
+//! flags as pure f64 — across dense and sparse kernels, window sizes,
+//! and thresholds deliberately planted in the middle of the score
 //! distribution so windows land inside the guard band.
 
 use adprom_core::{Alphabet, DetectionEngine, KernelConfig, Precision, Profile};
-use adprom_hmm::{BeamConfig, Hmm, SparseConfig};
+use adprom_hmm::{Hmm, SparseConfig};
 use adprom_lang::{CallSiteId, LibCall};
 use adprom_trace::CallEvent;
 use proptest::prelude::*;
@@ -114,10 +114,6 @@ proptest! {
         let kernels = [
             KernelConfig::Dense,
             KernelConfig::Sparse { sparse: SparseConfig::default() },
-            KernelConfig::Beam {
-                sparse: SparseConfig::default(),
-                beam: BeamConfig { top_k: Some(3), mass_epsilon: 0.0 },
-            },
         ];
         for kernel in kernels {
             let exact = DetectionEngine::new(&profile)

@@ -48,6 +48,34 @@
 //! recompute would report for a window containing an impossible event.
 //! Models smoothed with [`crate::Hmm::smooth`] (as AD-PROM profiles are)
 //! never hit this path; the anchor then stays at event 0 forever.
+//!
+//! # Beam pruning
+//!
+//! [`SlidingState::with_beam`] zeroes low-mass α entries after every
+//! scaling step (top-k and/or mass-threshold, see [`BeamConfig`]) and
+//! tracks a **sound upper bound** on the log-likelihood the chain may have
+//! lost. With scaled error mass `Ê_t` (exact-minus-pruned α, in the pruned
+//! chain's units) and pruned mass `p_t` at step `t`:
+//!
+//! ```text
+//! Ê_{t+1} ≤ (Ê_t + p_t) · max_j b_j(o_{t+1}) / c_{t+1}
+//! log P_exact − log P_pruned ≤ ln(1 + Ê_T)
+//! ```
+//!
+//! The bound follows from entrywise monotonicity of the forward recursion
+//! (row-stochastic A, non-negative α): pruning only removes mass, and a
+//! removed state can re-inject at most `bmax/c` of its mass per step. The
+//! naive bound `−Σ ln(1 − p_t)` is *not* sound — a pruned state may be the
+//! sole emitter of a later symbol — which is why the recursion carries
+//! `bmax` explicitly.
+//!
+//! A window score is a difference of two prefix log-likelihoods, each
+//! underestimated by at most the chain's running peak of `ln(1 + Ê)`, so
+//! [`SlidingState::gap_bound`] reports that peak (summed over chains
+//! closed by re-anchors). Suspending the beam
+//! ([`SlidingState::set_beam_active`]) stops new pruning but keeps the
+//! recursion running, so the bound stays sound for windows that still
+//! overlap pruned pushes.
 
 use crate::model::Hmm;
 use crate::sparse::{prune_alpha, BeamConfig, SparseTransitions};
@@ -101,8 +129,8 @@ pub struct SlidingState {
     /// the error recursion keeps running so [`SlidingState::gap_bound`]
     /// stays a sound bound over windows that still overlap pruned pushes.
     beam_idle: bool,
-    /// `Ê` of the beam error recursion for the current chain (see
-    /// [`crate::sparse::forward_beam`]).
+    /// `Ê` of the beam error recursion for the current chain (see the
+    /// module docs).
     beam_err: f64,
     /// Running max of `ln(1 + Ê)` over the current chain. A window score
     /// is a difference of two prefix log-likelihoods, each underestimated
@@ -234,7 +262,7 @@ impl SlidingState {
                 c += *acc;
             }
             // Beam error recursion, in the live chain's scaled units:
-            // Ê ← (Ê + p_prev) · bmax / c (see crate::sparse's module docs).
+            // Ê ← (Ê + p_prev) · bmax / c (see the module docs).
             if self.beam.is_some() && c > 0.0 {
                 self.beam_err = (self.beam_err + self.beam_pruned_prev) * bmax / c;
                 self.beam_peak = self.beam_peak.max(self.beam_err.ln_1p());

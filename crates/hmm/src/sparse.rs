@@ -38,23 +38,10 @@
 //!
 //! # Beam pruning
 //!
-//! [`forward_beam`] additionally zeroes low-mass α entries after every
-//! scaling step (top-k and/or mass-threshold), and tracks a **sound upper
-//! bound** on the log-likelihood it may have lost. With scaled error mass
-//! `Ê_t` (exact-minus-pruned α, in the pruned chain's units) and pruned
-//! mass `p_t` at step `t`:
-//!
-//! ```text
-//! Ê_{t+1} ≤ (Ê_t + p_t) · max_j b_j(o_{t+1}) / c_{t+1}
-//! log P_exact − log P_pruned ≤ ln(1 + Ê_T)
-//! ```
-//!
-//! The bound follows from entrywise monotonicity of the forward recursion
-//! (row-stochastic A, non-negative α): pruning only removes mass, and a
-//! removed state can re-inject at most `bmax/c` of its mass per step. The
-//! naive bound `−Σ ln(1 − p_t)` is *not* sound — a pruned state may be the
-//! sole emitter of a later symbol — which is why the recursion carries
-//! `bmax` explicitly.
+//! [`BeamConfig`] and the pruning step behind it serve the sliding
+//! recurrence ([`crate::sliding::SlidingState::with_beam`]), where the
+//! monitor's overload tiers suspend and resume it; the sound error bound
+//! it tracks is derived in [`crate::sliding`].
 
 use crate::forward::{ForwardPass, StepScores};
 use crate::model::Hmm;
@@ -275,10 +262,8 @@ impl SparseTransitions {
     ///
     /// [`from_hmm`](SparseTransitions::from_hmm) performs no validation —
     /// a poisoned matrix (NaN rows, sums far from 1) silently yields a
-    /// kernel that scores garbage. Resilience-aware callers (adprom-core's
-    /// validated kernel build behind `WindowScorer::with_kernel_validated`
-    /// and `ProfileRegistry::register`) use this entry point and
-    /// downgrade to the dense kernel on `Err`.
+    /// kernel that scores garbage. adprom-core's `ProfileRegistry::register`
+    /// builds through this entry point and rejects the profile on `Err`.
     pub fn try_from_hmm(
         hmm: &Hmm,
         config: &SparseConfig,
@@ -760,9 +745,9 @@ pub fn viterbi_sparse(hmm: &Hmm, sp: &SparseTransitions, obs: &[usize]) -> (Vec<
     (path, best)
 }
 
-/// Beam-pruning policy for [`forward_beam`] and
-/// [`crate::sliding::SlidingForward::with_beam`]. Both constraints apply
-/// when both are set; the default prunes nothing.
+/// Beam-pruning policy for [`crate::sliding::SlidingState::with_beam`]
+/// (and [`crate::sliding::SlidingForward::with_beam`]). Both constraints
+/// apply when both are set; the default prunes nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct BeamConfig {
     /// Keep at most this many states per step (None = unlimited).
@@ -823,134 +808,6 @@ pub(crate) fn prune_alpha(
         alpha[i] = 0.0;
     }
     (pruned_mass, pruned)
-}
-
-/// Result of a beam-pruned forward pass.
-#[derive(Debug, Clone)]
-pub struct BeamForward {
-    /// The (approximate) scaled forward pass. `log_likelihood` never
-    /// exceeds the exact value.
-    pub pass: ForwardPass,
-    /// Sound upper bound on `log P_exact − log P_pruned` (see the module
-    /// docs); `+inf` if pruning made the sequence impossible.
-    pub gap_bound: f64,
-    /// States zeroed across all steps.
-    pub pruned_states: u64,
-    /// Per-step `sum.ln()` factors of this (pruned) pass, in sequence
-    /// order — the identical terms `pass.log_likelihood` accumulates, kept
-    /// for score attribution. Ends with a `-inf` entry when pruning (or
-    /// the model) starved the chain.
-    pub step_log: Vec<f64>,
-}
-
-/// Beam-pruned scaled forward pass: after every scaling step the α vector
-/// is pruned per `beam`, and the recursion tracks a sound bound on the
-/// log-likelihood underestimate.
-pub fn forward_beam(
-    hmm: &Hmm,
-    sp: &SparseTransitions,
-    obs: &[usize],
-    beam: &BeamConfig,
-) -> BeamForward {
-    debug_assert_eq!(hmm.n_states(), sp.n_states());
-    let n = hmm.n_states();
-    let t_len = obs.len();
-    let mut alpha = vec![vec![0.0; n]; t_len];
-    let mut scale = vec![0.0; t_len];
-    let mut log_likelihood = 0.0f64;
-    let mut err = 0.0f64; // Ê_t: scaled exact-minus-pruned mass bound
-    let mut pruned_states = 0u64;
-    let mut order = Vec::with_capacity(n);
-    let mut step_log = Vec::with_capacity(t_len);
-
-    if t_len == 0 {
-        return BeamForward {
-            pass: ForwardPass {
-                alpha,
-                scale,
-                log_likelihood,
-            },
-            gap_bound: 0.0,
-            pruned_states: 0,
-            step_log,
-        };
-    }
-
-    let mut sum = 0.0;
-    for (i, a) in alpha[0].iter_mut().enumerate() {
-        *a = hmm.pi[i] * hmm.b(i, obs[0]);
-        sum += *a;
-    }
-    if sum <= 0.0 {
-        step_log.push(f64::NEG_INFINITY);
-        return BeamForward {
-            pass: impossible(alpha, scale),
-            gap_bound: 0.0,
-            pruned_states: 0,
-            step_log,
-        };
-    }
-    scale[0] = 1.0 / sum;
-    for v in &mut alpha[0] {
-        *v *= scale[0];
-    }
-    let step = sum.ln();
-    log_likelihood += step;
-    step_log.push(step);
-    let (pm, pc) = prune_alpha(&mut alpha[0], &mut order, beam);
-    // p_t: mass pruned at the previous step of the recursion.
-    let mut pruned_prev = pm;
-    pruned_states += pc as u64;
-
-    for t in 1..t_len {
-        let (prev, cur) = {
-            let (a, b) = alpha.split_at_mut(t);
-            (&a[t - 1], &mut b[0])
-        };
-        sp.propagate(prev, cur);
-        let mut sum = 0.0;
-        let mut bmax = 0.0f64;
-        for (j, c) in cur.iter_mut().enumerate() {
-            let b = hmm.b(j, obs[t]);
-            bmax = bmax.max(b);
-            *c *= b;
-            sum += *c;
-        }
-        if sum <= 0.0 {
-            // Pruning starved the chain (the exact pass may have survived):
-            // the bound is vacuous from here on.
-            step_log.push(f64::NEG_INFINITY);
-            return BeamForward {
-                pass: impossible(alpha, scale),
-                gap_bound: f64::INFINITY,
-                pruned_states,
-                step_log,
-            };
-        }
-        scale[t] = 1.0 / sum;
-        for v in cur.iter_mut() {
-            *v *= scale[t];
-        }
-        let step = sum.ln();
-        log_likelihood += step;
-        step_log.push(step);
-        // Ê_{t} ≤ (Ê_{t-1} + p_{t-1}) · bmax_t / c_t, with c_t = sum.
-        err = (err + pruned_prev) * bmax / sum;
-        let (pm, pc) = prune_alpha(cur, &mut order, beam);
-        pruned_prev = pm;
-        pruned_states += pc as u64;
-    }
-
-    BeamForward {
-        pass: ForwardPass {
-            alpha,
-            scale,
-            log_likelihood,
-        },
-        gap_bound: err.ln_1p(),
-        pruned_states,
-        step_log,
-    }
 }
 
 #[cfg(test)]
@@ -1104,23 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn beam_step_log_decomposes_the_pruned_score_bitwise() {
-        for seed in 0..5 {
-            let hmm = smoothed(8, 5, seed);
-            let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-            let obs = hmm.sample(40, seed + 500);
-            let beam = BeamConfig {
-                top_k: Some(4),
-                mass_epsilon: 0.0,
-            };
-            let run = forward_beam(&hmm, &sp, &obs, &beam);
-            assert_eq!(run.step_log.len(), obs.len());
-            let resummed = run.step_log.iter().fold(0.0f64, |acc, s| acc + s);
-            assert_eq!(resummed, run.pass.log_likelihood);
-        }
-    }
-
-    #[test]
     fn backward_sparse_matches_dense() {
         let hmm = banded(10, 3);
         let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
@@ -1208,45 +1048,6 @@ mod tests {
             }
             assert!((lp - ls).abs() < 1e-9);
             let _ = pd;
-        }
-    }
-
-    #[test]
-    fn beam_noop_config_matches_exact() {
-        let hmm = smoothed(5, 4, 2);
-        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-        let obs = hmm.sample(50, 3);
-        let bf = forward_beam(&hmm, &sp, &obs, &BeamConfig::default());
-        let exact = log_likelihood(&hmm, &obs);
-        assert!((bf.pass.log_likelihood - exact).abs() < 1e-9);
-        assert_eq!(bf.pruned_states, 0);
-        assert!(bf.gap_bound.abs() < 1e-12);
-    }
-
-    #[test]
-    fn beam_bound_is_sound() {
-        for seed in 0..10 {
-            let hmm = smoothed(12, 6, seed);
-            let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-            let obs = hmm.sample(60, seed + 7);
-            let exact = log_likelihood(&hmm, &obs);
-            let bf = forward_beam(
-                &hmm,
-                &sp,
-                &obs,
-                &BeamConfig {
-                    top_k: Some(4),
-                    mass_epsilon: 0.05,
-                },
-            );
-            let gap = exact - bf.pass.log_likelihood;
-            assert!(gap >= -1e-9, "pruned LL may never exceed exact: {gap}");
-            assert!(
-                gap <= bf.gap_bound + 1e-9,
-                "seed {seed}: observed gap {gap} exceeds bound {}",
-                bf.gap_bound
-            );
-            assert!(bf.pruned_states > 0);
         }
     }
 

@@ -2,9 +2,9 @@
 //! enumeration, and distributional invariants of training.
 
 use adprom_hmm::{
-    backward, forward, forward_beam, forward_sparse, log_likelihood, log_likelihood_sparse,
-    reestimate, reestimate_with_config, scan_scores, train, viterbi, viterbi_sparse, BeamConfig,
-    Hmm, SlidingForward, SparseConfig, SparseTransitions, TrainConfig,
+    backward, forward, forward_sparse, log_likelihood, log_likelihood_sparse, reestimate,
+    reestimate_with_config, scan_scores, train, viterbi, viterbi_sparse, BeamConfig, Hmm,
+    SlidingForward, SlidingState, SparseConfig, SparseTransitions, TrainConfig,
 };
 use proptest::prelude::*;
 
@@ -351,27 +351,34 @@ proptest! {
         }
     }
 
-    /// Beam pruning's reported error bound is sound: the exact
-    /// log-likelihood exceeds the beam score by at most `gap_bound`.
+    /// The sliding beam's error bound is sound under the overload tiers'
+    /// suspend/resume toggles: after every push, the pruned window score
+    /// is within `gap_bound()` of an unpruned `SlidingState`'s. The
+    /// schedule is a list of `(pushes, active)` runs, cycled over the
+    /// stream; `top_k = 0` leaves the beam width uncapped.
     #[test]
     fn beam_gap_bound_is_sound(
-        hmm in arb_hmm(6, 5), seed in any::<u64>(), len in 1usize..25,
-        top_k in 1usize..4,
+        hmm in arb_hmm(6, 5), seed in any::<u64>(), len in 1usize..80,
+        window in 1usize..16, top_k in 0usize..5, mass_epsilon in 0.0f64..0.3,
+        schedule in prop::collection::vec((1usize..12, any::<bool>()), 1..8),
     ) {
         let mut hmm = hmm;
         hmm.smooth(1e-4);
         let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
         let obs = hmm.sample(len, seed);
-        let exact = log_likelihood(&hmm, &obs);
-        let beam = BeamConfig { top_k: Some(top_k), mass_epsilon: 0.0 };
-        let run = forward_beam(&hmm, &sp, &obs, &beam);
-        let approx = run.pass.log_likelihood;
-        prop_assert!(approx <= exact + 1e-9,
-            "beam score {approx} exceeds exact {exact}");
-        if run.gap_bound.is_finite() {
-            let gap = exact - approx;
-            prop_assert!(gap <= run.gap_bound + 1e-9,
-                "observed gap {gap} exceeds reported bound {}", run.gap_bound);
+        let beam = BeamConfig { top_k: (top_k > 0).then_some(top_k), mass_epsilon };
+        let toggles: Vec<bool> = schedule
+            .iter()
+            .flat_map(|&(run, active)| std::iter::repeat_n(active, run))
+            .collect();
+        let mut exact = SlidingState::new(hmm.n_states(), window);
+        let mut pruned = SlidingState::new(hmm.n_states(), window).with_beam(beam);
+        for (t, &symbol) in obs.iter().enumerate() {
+            pruned.set_beam_active(toggles[t % toggles.len()]);
+            let e = exact.push(&hmm, Some(&sp), symbol);
+            let p = pruned.push(&hmm, Some(&sp), symbol);
+            prop_assert!((e - p).abs() <= pruned.gap_bound() + 1e-9,
+                "t={t}: exact {e} vs pruned {p} exceeds bound {}", pruned.gap_bound());
         }
     }
 

@@ -8,11 +8,10 @@
 use adprom::analysis::analyze;
 use adprom::core::resilience::sites;
 use adprom::core::{
-    build_profile, ConstructorConfig, FaultInjector, FaultKind, FaultPlan, Health, KernelConfig,
-    MonitorRuntime, Profile, ProfileRegistry, RuntimeConfig, SessionEnd, SessionReport, Trigger,
-    WindowScorer,
+    build_profile, ConstructorConfig, FaultInjector, FaultKind, FaultPlan, Health, MonitorRuntime,
+    Profile, ProfileRegistry, RuntimeConfig, SessionEnd, SessionReport, Trigger,
 };
-use adprom::hmm::{Hmm, SparseConfig};
+use adprom::hmm::Hmm;
 use adprom::obs::{AuditLog, AuditRecord, AuditSink, DurableAuditSink, Registry};
 use adprom::trace::{CallEvent, TaggedCall, TraceValidator};
 use adprom::workloads::banking;
@@ -256,54 +255,6 @@ fn banking_under_faults_matches_fault_free_run() {
         DurableAuditSink::read_records(&wal).expect("reread"),
         before
     );
-}
-
-#[test]
-fn degraded_mode_dense_fallback_is_bit_identical_to_dense() {
-    // Break row-stochasticity (finite drift, so scoring still works):
-    // CSR validation must refuse the sparse build and fall back.
-    let mut profile = tiny_profile();
-    profile.hmm.a_row_mut(0)[0] += 0.25;
-    let event = |name: &str| adprom::trace::CallEvent {
-        name: name.into(),
-        call: adprom::lang::LibCall::Printf,
-        caller: "main".into(),
-        site: adprom::lang::CallSiteId(0),
-        detail: None,
-    };
-    let batch = vec![
-        vec![event("a"), event("b"), event("c_Q7"), event("a")],
-        vec![event("b"), event("b"), event("a")],
-    ];
-
-    let profile = Arc::new(profile);
-    let degraded =
-        WindowScorer::new(Arc::clone(&profile)).with_kernel_validated(KernelConfig::Sparse {
-            sparse: SparseConfig::default(),
-        });
-    let status = degraded.status();
-    assert_eq!(
-        (status.requested.as_str(), status.effective.as_str()),
-        ("sparse", "dense")
-    );
-    let reason = status
-        .fallback_reason
-        .as_deref()
-        .expect("downgrade surfaced");
-    assert!(reason.contains("dense"), "{reason}");
-
-    // Degraded mode is bit-identical to dense, in both scoring modes.
-    let dense = WindowScorer::new(profile);
-    for trace in &batch {
-        assert_eq!(
-            format!("{:?}", dense.scan(trace, "s")),
-            format!("{:?}", degraded.scan(trace, "s"))
-        );
-        assert_eq!(
-            format!("{:?}", dense.scan_incremental(trace, "s").0),
-            format!("{:?}", degraded.scan_incremental(trace, "s").0)
-        );
-    }
 }
 
 proptest! {
