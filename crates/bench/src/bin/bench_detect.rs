@@ -61,10 +61,11 @@
 //! * `--overload` — replay the attack corpus plus the benign training
 //!   sessions through an overload-controlled `MonitorRuntime` whose
 //!   scoring budget is half its hard ingest bound (sustained 2× load),
-//!   *assert* session recall of 1.0 against the unconstrained run,
-//!   bit-identical tier histories at 1/4/8 threads, and a queue
-//!   high-water at or under the bound; record the per-tier assignment
-//!   and window partitions plus a DropNewest shed sub-run.
+//!   *assert* session recall of 1.0 and, under backpressure, exactly the
+//!   unconstrained run's alarm count, bit-identical tier histories at
+//!   1/4/8 threads, and a queue high-water at or under the bound; record
+//!   the per-tier assignment and window partitions plus a DropNewest
+//!   shed sub-run.
 
 use adprom_analysis::analyze;
 use adprom_attacks::{
@@ -1383,8 +1384,10 @@ fn main() {
     // training sessions through a monitor whose scoring budget is half
     // its hard ingest bound — a sustained 2× overload. The tier scheduler
     // must keep session recall at 1.0 (every session the unconstrained
-    // monitor alarms on still alarms), stay bit-identical across worker
-    // thread counts, and never buffer past the bound.
+    // monitor alarms on still alarms) and, under backpressure, raise
+    // exactly the unconstrained alarm count (every tier scores exactly),
+    // stay bit-identical across worker thread counts, and never buffer
+    // past the bound.
     let overload_fields = if overload {
         let corpus_cases = if smoke { 2 } else { 6 };
         let corpus = build_attack_corpus(
@@ -1456,9 +1459,9 @@ fn main() {
             baseline_alarmed.len()
         );
         let alarms: usize = reports.iter().map(|r| r.alarms().count()).sum();
-        assert!(
-            alarms >= baseline_alarms,
-            "lower-bound classification can only add alarms"
+        assert_eq!(
+            alarms, baseline_alarms,
+            "exact tiers must raise exactly the unconstrained alarms"
         );
         for report in &reports {
             if report.alarms().count() > 0 {
@@ -1478,12 +1481,10 @@ fn main() {
         );
         let tier_assigned = [
             snap.counter("monitor.tier.full.assigned").unwrap_or(0),
-            snap.counter("monitor.tier.beam.assigned").unwrap_or(0),
             snap.counter("monitor.tier.spot.assigned").unwrap_or(0),
         ];
         let tier_windows = [
             snap.counter("monitor.tier.full.windows").unwrap_or(0),
-            snap.counter("monitor.tier.beam.windows").unwrap_or(0),
             snap.counter("monitor.tier.spot.windows").unwrap_or(0),
         ];
         let spot_skipped = snap.counter("monitor.tier.spot.skipped").unwrap_or(0);
@@ -1542,14 +1543,9 @@ fn main() {
             baseline_alarmed.len()
         );
         println!(
-            "tiers assigned full/beam/spot: {}/{}/{}; windows {}/{}/{} \
+            "tiers assigned full/spot: {}/{}; windows {}/{} \
              (+{spot_skipped} spot-skipped), {escalations} escalations",
-            tier_assigned[0],
-            tier_assigned[1],
-            tier_assigned[2],
-            tier_windows[0],
-            tier_windows[1],
-            tier_windows[2],
+            tier_assigned[0], tier_assigned[1], tier_windows[0], tier_windows[1],
         );
         println!(
             "queue high-water {high_water}/{capacity}, {backpressure} backpressure flushes, \
@@ -1570,8 +1566,8 @@ fn main() {
              \"overload_recall\": {recall:.3},\n    \
              \"overload_baseline_alarms\": {baseline_alarms},\n    \
              \"overload_alarms\": {alarms},\n    \
-             \"overload_tier_assigned\": [{}, {}, {}],\n    \
-             \"overload_tier_windows\": [{}, {}, {}],\n    \
+             \"overload_tier_assigned\": [{}, {}],\n    \
+             \"overload_tier_windows\": [{}, {}],\n    \
              \"overload_spot_skipped\": {spot_skipped},\n    \
              \"overload_escalations\": {escalations},\n    \
              \"overload_backpressure_flushes\": {backpressure},\n    \
@@ -1585,10 +1581,8 @@ fn main() {
             stream.len(),
             tier_assigned[0],
             tier_assigned[1],
-            tier_assigned[2],
             tier_windows[0],
             tier_windows[1],
-            tier_windows[2],
         )
     } else {
         String::new()

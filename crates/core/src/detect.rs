@@ -93,9 +93,8 @@ impl fmt::Display for Flag {
 /// `Sparse` with `epsilon = 0` is *exact*: on smoothed profiles it
 /// produces `Dense`'s log-likelihoods (up to summation order) in
 /// O(nnz + N) per event instead of O(N²) (see [`adprom_hmm::sparse`]).
-/// Beam pruning is not a kernel: only the monitor's
-/// [`ScoringTier::BeamPruned`](crate::scorer::ScoringTier::BeamPruned)
-/// overload tier prunes, under a tracked error bound.
+/// Neither kernel approximates under load: the monitor's overload tiers
+/// skip windows, but every window they score is scored exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum KernelConfig {
     /// The dense O(N²)-per-event forward pass (the default).

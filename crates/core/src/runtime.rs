@@ -40,11 +40,10 @@ use crate::detect::{Alert, Flag};
 use crate::registry::ProfileRegistry;
 use crate::resilience::{sites, FailPoint, FaultInjector, FaultKind, Health, RetryPolicy};
 use crate::scorer::{
-    gap_micronats, ForensicsConfig, KernelStatus, MemoDelta, ScoringMode, ScoringTier,
-    SessionScorer, TierStamp, WindowEvent, WindowMemo, WindowScorer,
+    ForensicsConfig, KernelStatus, MemoDelta, ScoringMode, ScoringTier, SessionScorer, TierStamp,
+    WindowEvent, WindowMemo, WindowScorer,
 };
 use crate::telemetry::{audit_record_from_alert, DetectMetrics, MonitorMetrics, ResilienceMetrics};
-use adprom_hmm::BeamConfig;
 use adprom_obs::{AuditLog, ForensicReport, Registry, SpanContext, Tracer};
 use adprom_trace::TaggedCall;
 use rayon::prelude::*;
@@ -145,16 +144,13 @@ pub struct OverloadConfig {
     /// disarms the tier ladder (every session stays on the unconstrained
     /// path); otherwise each flush re-assigns every working session a
     /// [`ScoringTier`] so the highest-risk sessions spend the budget.
-    /// Only meaningful in [`ScoringMode::Incremental`] — exact mode has
-    /// no sliding recurrence to degrade.
+    /// Only meaningful in [`ScoringMode::Incremental`] — exact mode
+    /// scores and emits a flush's windows in batched passes.
     pub budget: usize,
     /// Spot-check cadence: a spot-tier session emits every
     /// `spot_every`-th window (values below 1 behave as 1; danger
     /// windows always emit regardless).
     pub spot_every: u32,
-    /// Beam installed into demoted sessions' sliding recurrences (sparse
-    /// kernels only; suspended while the session holds the full tier).
-    pub beam: BeamConfig,
 }
 
 impl Default for OverloadConfig {
@@ -164,10 +160,6 @@ impl Default for OverloadConfig {
             shed_policy: ShedPolicy::Backpressure,
             budget: 0,
             spot_every: 4,
-            beam: BeamConfig {
-                top_k: Some(8),
-                mass_epsilon: 0.0,
-            },
         }
     }
 }
@@ -612,8 +604,7 @@ impl MonitorRuntime {
 
     /// Sessions the shed policy may never drop events from: unarmed
     /// sessions (no tier ladder bounds the loss) and sessions holding the
-    /// full tier — the floor class of alarmed, escalated, and brand-new
-    /// sessions.
+    /// full tier — the floor class of alarmed and brand-new sessions.
     fn protected(&self, idx: usize) -> bool {
         let state = &self.slots[idx].state;
         !state.tier_armed() || state.tier() == ScoringTier::Full
@@ -730,19 +721,19 @@ impl MonitorRuntime {
     /// scoring budget by per-session risk, not uniformly):
     ///
     /// * the **floor class** holds the full tier unconditionally —
-    ///   sessions that already alarmed or self-escalated, sessions still
-    ///   inside their first window (the new-session prior: an unknown
-    ///   session is assumed risky), and sessions of an app whose
+    ///   sessions that already alarmed (a self-escalation is always an
+    ///   alarm), sessions still inside their first window (the
+    ///   new-session prior: an unknown session is assumed risky), and
+    ///   sessions of an app whose
     ///   [`HealthMonitor`](crate::resilience::HealthMonitor) is already
     ///   at or above [`Health::Degraded`];
     /// * everything else ranks by **margin** — last emitted score minus
     ///   threshold, ascending, ties by arrival — so sessions scoring
     ///   closest to the threshold get scrutinized first;
     /// * the **budget walk**: full tier while cumulative pending events
-    ///   fit the budget, the beam tier for the next `budget/2` events,
-    ///   spot-check for the rest. When total pending fits the budget
-    ///   everyone lands back at full — recovery lowers the ladder
-    ///   automatically.
+    ///   fit the budget, spot-check after that. When total pending fits
+    ///   the budget everyone lands back at full — recovery lowers the
+    ///   ladder automatically.
     ///
     /// Crossing into overload (total pending above budget) degrades the
     /// health of every app in the batch once per episode, in sorted app
@@ -761,9 +752,7 @@ impl MonitorRuntime {
                 .profiles
                 .health(&slot.app)
                 .is_some_and(|h| h.state() >= Health::Degraded);
-            let floor = slot.state.has_alarmed()
-                || slot.state.escalations() > 0
-                || slot.state.seen() < window;
+            let floor = slot.state.has_alarmed() || slot.state.seen() < window;
             if floor {
                 spent += slot.pending.len();
                 self.set_tier(idx, ScoringTier::Full);
@@ -779,16 +768,11 @@ impl MonitorRuntime {
                 .then(a.1.total_cmp(&b.1))
                 .then(self.slots[a.2].arrival.cmp(&self.slots[b.2].arrival))
         });
-        let beam_band = budget.div_ceil(2);
-        let mut beam_spent = 0usize;
         for &(_, _, idx) in &ranked {
             let cost = self.slots[idx].pending.len();
             let tier = if spent + cost <= budget {
                 spent += cost;
                 ScoringTier::Full
-            } else if beam_spent + cost <= beam_band {
-                beam_spent += cost;
-                ScoringTier::BeamPruned
             } else {
                 ScoringTier::SpotCheck
             };
@@ -831,7 +815,6 @@ impl MonitorRuntime {
         slot.tiers.push(assigned);
         match assigned {
             ScoringTier::Full => self.metrics.tier_full_assigned.inc(),
-            ScoringTier::BeamPruned => self.metrics.tier_beam_assigned.inc(),
             ScoringTier::SpotCheck => self.metrics.tier_spot_assigned.inc(),
         }
     }
@@ -865,14 +848,12 @@ impl MonitorRuntime {
                     .map(|a| a.flag)
                     .max()
                     .unwrap_or(Flag::Normal);
-                let mut kernel = slot.scorer.status().clone();
-                kernel.gap_bound_micronats = gap_micronats(slot.state.gap_bound());
                 SessionReport {
                     app: slot.app,
                     session: slot.session,
                     arrival: slot.arrival,
                     epoch: slot.epoch,
-                    kernel,
+                    kernel: slot.scorer.status().clone(),
                     events: slot.events,
                     alerts: slot.alerts,
                     verdict,
@@ -909,11 +890,7 @@ impl MonitorRuntime {
         let scorer = self.epochs[scoring].scorer.clone();
         let mut state = SessionScorer::new(&scorer, self.config.mode);
         if self.config.overload.budget > 0 {
-            state = state.with_tier_support(
-                &scorer,
-                self.config.overload.beam,
-                self.config.overload.spot_every,
-            );
+            state = state.with_tier_support(self.config.overload.spot_every);
         }
         if let Some(config) = self.forensics {
             state = state.with_forensics(config);
@@ -1241,7 +1218,6 @@ impl MonitorRuntime {
         if let Some(stamp) = stamp {
             record.tier = Some(stamp.tier.label().to_string());
             record.escalation = stamp.escalation;
-            record.gap_bound_micronats = Some(gap_micronats(stamp.gap_bound));
         }
         audit.record(record);
     }
@@ -1846,8 +1822,9 @@ mod tests {
         assert_eq!(profiles.health("bank").unwrap().state(), Health::Degraded);
         // Flush 2: margins are identical (same benign first window), so
         // ties break by arrival and the budget walk demotes s-2 to the
-        // beam tier — where its out-of-context call alarms and the
-        // session escalates itself back to full mid-flush.
+        // spot tier — where its out-of-context call cannot be skipped, so
+        // it alarms and the session escalates itself back to full
+        // mid-flush.
         for s in ["s-0", "s-1"] {
             for name in ["a", "b", "c_Q7"] {
                 runtime.ingest(&tag(s, name));
@@ -1866,14 +1843,10 @@ mod tests {
         let s2 = reports.iter().find(|r| r.session == "s-2").unwrap();
         assert_eq!(
             s2.tiers,
-            vec![
-                ScoringTier::Full,
-                ScoringTier::BeamPruned,
-                ScoringTier::Full
-            ]
+            vec![ScoringTier::Full, ScoringTier::SpotCheck, ScoringTier::Full]
         );
         assert_eq!(s2.tier, ScoringTier::Full);
-        assert!(s2.escalations >= 1, "beam-tier alarm must escalate");
+        assert_eq!(s2.escalations, 1, "spot-tier alarm must escalate");
         assert!(s2.alarms().count() >= 1, "the exfil window still alarms");
         for report in reports.iter().filter(|r| r.session != "s-2") {
             assert_eq!(report.verdict, Flag::Normal);
@@ -1881,10 +1854,9 @@ mod tests {
             assert_eq!(report.tiers.len(), 3);
         }
         let snap = obs.snapshot();
-        assert!(snap.counter("monitor.tier.escalations").unwrap() >= 1);
+        assert_eq!(snap.counter("monitor.tier.escalations"), Some(1));
         assert_eq!(snap.counter("monitor.tier.full.assigned"), Some(8));
-        assert_eq!(snap.counter("monitor.tier.beam.assigned"), Some(1));
-        assert_eq!(snap.counter("monitor.tier.spot.assigned"), Some(0));
+        assert_eq!(snap.counter("monitor.tier.spot.assigned"), Some(1));
         // The episode opened once (flushes 1–2 were one continuous
         // overload) and closed when flush 3 fit the budget.
         assert_eq!(snap.counter("monitor.overload.episodes"), Some(1));

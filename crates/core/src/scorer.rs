@@ -23,8 +23,8 @@ use crate::profile::Profile;
 use crate::telemetry::{audit_record_from_alert, DetectMetrics};
 use adprom_hmm::{
     log_likelihood, log_likelihood_sparse, score_windows_batch as sparse_windows_batch,
-    step_scores, step_scores_sparse, BatchScores, BeamConfig, F32Kernel, Precision, SlidingState,
-    SlidingStats, StepScores,
+    step_scores, step_scores_sparse, BatchScores, F32Kernel, Precision, SlidingState, SlidingStats,
+    StepScores,
 };
 use adprom_obs::{AuditLog, DeviantTransition, ForensicReport, Registry, WindowTrace};
 use adprom_trace::CallEvent;
@@ -91,11 +91,6 @@ pub struct KernelStatus {
     /// Widest window-batch the scorer's batched paths hand the kernel in
     /// one pass; `1` means windows are scored one at a time.
     pub batch_width: u32,
-    /// Cumulative beam-pruning score-error bound in integral micro-nats
-    /// (`0` when no pruning ever ran). Session reports stamp the owning
-    /// session's [`SlidingState::gap_bound`] here at close, so pruned-tier
-    /// verdicts carry their score-bound provenance.
-    pub gap_bound_micronats: i64,
 }
 
 impl Default for KernelStatus {
@@ -112,7 +107,6 @@ impl KernelStatus {
             effective: label.to_string(),
             precision: "f64".to_string(),
             batch_width: 1,
-            gap_bound_micronats: 0,
         }
     }
 }
@@ -120,27 +114,19 @@ impl KernelStatus {
 /// The scoring tier the risk-budget scheduler holds a live session at
 /// while the monitor is overloaded (see
 /// [`OverloadConfig`](crate::runtime::OverloadConfig)). Ordered by
-/// fidelity — `SpotCheck < BeamPruned < Full` — so the starvation floor
-/// "never below tier X" is an `Ord` comparison.
+/// fidelity — `SpotCheck < Full` — so the starvation floor "never below
+/// tier X" is an `Ord` comparison.
 ///
-/// Every tier keeps the sliding recurrence exact enough to be *sound*:
-/// flags under the two degraded tiers are classified on the score's
-/// gap-bound lower bound, so a window whose unconstrained verdict is an
-/// alarm still alarms (the degraded tiers can over-alarm, never
-/// under-alarm).
+/// Every tier scores every window exactly; the tiers differ only in
+/// which windows emit. A window whose unconstrained verdict is an alarm
+/// therefore alarms at either tier, with the same alert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Default)]
 pub enum ScoringTier {
-    /// Beam-pruned pushes, and only every k-th window's verdict is
-    /// emitted; skipped windows carry the last verdict forward and are
-    /// skipped only when provably Normal (lower-bound score at or above
-    /// threshold, no out-of-context call in the window).
+    /// Only every k-th window's verdict is emitted; skipped windows carry
+    /// the last verdict forward and are skipped only when Normal (exact
+    /// score at or above threshold, no out-of-context call in the
+    /// window).
     SpotCheck,
-    /// Beam-pruned sliding pushes ([`SlidingState::with_beam`]); every
-    /// window emits, flags classified on `score − gap_bound()`. A score
-    /// within `gap_bound()` of the threshold escalates the session back
-    /// to [`ScoringTier::Full`] — the sliding-window mirror of the f32
-    /// guard-band rescore.
-    BeamPruned,
     /// The unconstrained baseline: exact incremental pushes, every window
     /// emitted. Sessions start here and alarmed sessions are pinned here.
     #[default]
@@ -149,11 +135,10 @@ pub enum ScoringTier {
 
 impl ScoringTier {
     /// Short label used by metrics, audit records, and bench JSON:
-    /// `"spot"`, `"beam"`, or `"full"`.
+    /// `"spot"` or `"full"`.
     pub fn label(&self) -> &'static str {
         match self {
             ScoringTier::SpotCheck => "spot",
-            ScoringTier::BeamPruned => "beam",
             ScoringTier::Full => "full",
         }
     }
@@ -166,9 +151,9 @@ impl fmt::Display for ScoringTier {
 }
 
 /// Per-alarm tier provenance recorded by a tier-armed [`SessionScorer`]:
-/// the tier the window was scored under, the escalation it triggered (if
-/// any), and the gap bound in force — one stamp per emitted alarm, in
-/// alarm order, drained alongside forensics at commit.
+/// the tier the window was scored under and the escalation it triggered
+/// (if any) — one stamp per emitted alarm, in alarm order, drained
+/// alongside forensics at commit.
 #[derive(Debug, Clone)]
 pub(crate) struct TierStamp {
     /// Tier the alarming window was scored under.
@@ -176,9 +161,6 @@ pub(crate) struct TierStamp {
     /// Why the alarm escalated the session back to full scoring, when it
     /// did.
     pub(crate) escalation: Option<String>,
-    /// The cumulative beam gap bound at emission (nats; `0.0` when the
-    /// session never pruned).
-    pub(crate) gap_bound: f64,
 }
 
 /// Lane cap for the internally batched scoring paths ([`WindowScorer::scan`],
@@ -859,17 +841,6 @@ fn score_memoized(
     scores
 }
 
-/// Beam gap bound in integral micro-nats, as session reports and audit
-/// records carry it; an infinite bound (pruning starved the chain)
-/// saturates it.
-pub(crate) fn gap_micronats(bound: f64) -> i64 {
-    if bound.is_finite() {
-        (bound * 1e6).ceil() as i64
-    } else {
-        i64::MAX
-    }
-}
-
 /// One event digested against a profile: everything the streaming scorer
 /// needs, precomputed once. Facts are cheap to clone — the monitor
 /// runtime buffers them at ingest and replays clones through
@@ -1074,10 +1045,6 @@ struct TierState {
     /// margin input; `+∞` until the first window emits, so brand-new
     /// sessions rank as unknown rather than safe).
     margin: f64,
-    /// True when the tier machinery installed (and so may suspend/resume)
-    /// the sliding beam; false for the dense kernel (nothing to prune) and
-    /// for a beam that can never prune.
-    owns_beam: bool,
     /// Tier provenance of alarms since the last drain.
     stamps: Vec<TierStamp>,
 }
@@ -1185,29 +1152,14 @@ impl SessionScorer {
     }
 
     /// Arms the risk-budget tier ladder: the session starts at
-    /// [`ScoringTier::Full`] and the scheduler may demote it with
-    /// [`SessionScorer::assign_tier`]. For a sparse kernel, `beam` is
-    /// installed into the sliding recurrence *suspended*
-    /// ([`SlidingState::set_beam_active`]) — pushes stay exact until a
-    /// demotion activates pruning. No-op outside incremental mode (tiers
-    /// modulate the sliding recurrence; exact mode has nothing to
-    /// degrade). Must be called before the session is fed.
-    pub fn with_tier_support(
-        mut self,
-        scorer: &WindowScorer,
-        beam: BeamConfig,
-        spot_every: u32,
-    ) -> SessionScorer {
+    /// [`ScoringTier::Full`] and the monitor's scheduler may demote it
+    /// to [`ScoringTier::SpotCheck`]. No-op outside incremental mode
+    /// (the ladder rides the sliding recurrence, which scores every
+    /// window whether or not it emits). Must be called before the
+    /// session is fed.
+    pub fn with_tier_support(mut self, spot_every: u32) -> SessionScorer {
         if self.mode != ScoringMode::Incremental {
             return self;
-        }
-        let owns_beam = matches!(scorer.kernel(), KernelState::Sparse(_)) && beam.is_active();
-        if owns_beam {
-            if let Some(state) = self.sliding.take() {
-                let mut state = state.with_beam(beam);
-                state.set_beam_active(false);
-                self.sliding = Some(state);
-            }
         }
         self.tier = Some(Box::new(TierState {
             tier: ScoringTier::Full,
@@ -1217,7 +1169,6 @@ impl SessionScorer {
             escalations: 0,
             alarmed: false,
             margin: f64::INFINITY,
-            owns_beam,
             stamps: Vec::new(),
         }));
         self
@@ -1237,7 +1188,6 @@ impl SessionScorer {
     /// Assigns the session's scoring tier (the serial scheduler's side of
     /// the ladder). Alarmed sessions are pinned at [`ScoringTier::Full`]
     /// — the starvation floor — so a demotion request on one is a no-op.
-    /// Activates or suspends the tier-owned sliding beam to match.
     pub(crate) fn assign_tier(&mut self, tier: ScoringTier) {
         let Some(state) = self.tier.as_deref_mut() else {
             return;
@@ -1249,11 +1199,6 @@ impl SessionScorer {
         };
         state.tier = tier;
         state.since_check = 0;
-        if state.owns_beam {
-            if let Some(sliding) = self.sliding.as_mut() {
-                sliding.set_beam_active(tier != ScoringTier::Full);
-            }
-        }
     }
 
     /// Last emitted window's `score − threshold` (`+∞` until one emits)
@@ -1281,13 +1226,6 @@ impl SessionScorer {
             .as_deref()
             .filter(|t| t.margin.is_finite())
             .map(|t| t.carried)
-    }
-
-    /// Cumulative beam-pruning score-error bound of the sliding
-    /// recurrence, in nats (`0.0` in exact mode or when nothing was ever
-    /// pruned). Sound for every window scored so far.
-    pub fn gap_bound(&self) -> f64 {
-        self.sliding.as_ref().map_or(0.0, SlidingState::gap_bound)
     }
 
     /// Drains the tier stamps recorded for alarms since the last drain,
@@ -1391,7 +1329,6 @@ impl SessionScorer {
                         &mut self.flight,
                         scorer,
                         ll,
-                        ll,
                         session,
                         steps,
                         &combined[e + 1 - w..=e],
@@ -1463,19 +1400,13 @@ impl SessionScorer {
                 None,
             ),
         };
-        let slack = if self.tier.is_some() {
-            self.gap_bound()
-        } else {
-            0.0
-        };
-        let alert = self.emit(scorer, ll, ll - slack, session, steps);
+        let alert = self.emit(scorer, ll, session, steps);
         if alert.is_alarm() {
             if let Some(state) = self.tier.as_deref_mut() {
                 state.alarmed = true;
                 state.stamps.push(TierStamp {
                     tier: state.tier,
                     escalation: None,
-                    gap_bound: slack,
                 });
             }
         }
@@ -1483,31 +1414,24 @@ impl SessionScorer {
     }
 
     /// Tier-aware emission of the incremental window ending at the
-    /// current event: unarmed sessions emit exactly as before; armed
-    /// sessions classify the flag on the sound lower bound
-    /// `score − gap_bound()` (identical to the raw score while nothing
-    /// was pruned), may skip provably-Normal spot-check windows, and
-    /// self-escalate back to [`ScoringTier::Full`] when a degraded-tier
-    /// window alarms or its pruned score lands within the gap bound of
-    /// the threshold — the guard-band discipline of the f32 fast path,
-    /// transplanted to the tier ladder.
+    /// current event: unarmed sessions emit every window; armed sessions
+    /// at [`ScoringTier::SpotCheck`] skip the windows between checks whose
+    /// verdict is Normal, and self-escalate back to [`ScoringTier::Full`]
+    /// when an emitted window alarms. Every score is exact, so an emitted
+    /// alert is the one the unarmed session would emit.
     fn emit_scored(&mut self, scorer: &WindowScorer, ll: f64, session: &str) -> Option<Alert> {
         let Some(state) = self.tier.as_deref() else {
-            return Some(self.emit(scorer, ll, ll, session, None));
+            return Some(self.emit(scorer, ll, session, None));
         };
         let tier = state.tier;
         let due = state.since_check + 1 >= state.spot_every;
-        let g = self.gap_bound();
         let threshold = scorer.threshold();
-        // The exact conditional score is within [floor, ll]: pruning only
-        // ever removes probability mass.
-        let floor = ll - g;
         if tier == ScoringTier::SpotCheck && !due {
-            // Skip only when the verdict is provably Normal: DataLeak and
+            // Skip only when the verdict is Normal: DataLeak and
             // Anomalous both require a below-threshold score, and
             // OutOfContext is decided by the window facts alone.
             let ooc_in_window = self.ring.iter().any(|f| f.ooc);
-            if floor >= threshold && !ooc_in_window {
+            if ll >= threshold && !ooc_in_window {
                 let state = self.tier.as_deref_mut().expect("tier state");
                 state.since_check += 1;
                 state.margin = ll - threshold;
@@ -1515,23 +1439,15 @@ impl SessionScorer {
                 return None;
             }
         }
-        let alert = self.emit(scorer, ll, floor, session, None);
+        let alert = self.emit(scorer, ll, session, None);
         let metrics = scorer.metrics();
         match tier {
             ScoringTier::Full => metrics.tier_full_windows.inc(),
-            ScoringTier::BeamPruned => metrics.tier_beam_windows.inc(),
             ScoringTier::SpotCheck => metrics.tier_spot_windows.inc(),
         }
         let alarm = alert.is_alarm();
-        let escalation = if tier == ScoringTier::Full {
-            None
-        } else if alarm {
-            Some("alarm raised below full tier")
-        } else if g > 0.0 && (ll - threshold).abs() <= g {
-            Some("pruned score within gap bound of threshold")
-        } else {
-            None
-        };
+        let escalation =
+            (alarm && tier != ScoringTier::Full).then_some("alarm raised below full tier");
         let state = self.tier.as_deref_mut().expect("tier state");
         state.since_check = 0;
         state.margin = ll - threshold;
@@ -1541,18 +1457,12 @@ impl SessionScorer {
             state.stamps.push(TierStamp {
                 tier,
                 escalation: escalation.map(str::to_string),
-                gap_bound: g,
             });
         }
         if escalation.is_some() {
             state.tier = ScoringTier::Full;
             state.escalations += 1;
             metrics.tier_escalations.inc();
-            if state.owns_beam {
-                if let Some(sliding) = self.sliding.as_mut() {
-                    sliding.set_beam_active(false);
-                }
-            }
         }
         Some(alert)
     }
@@ -1561,14 +1471,11 @@ impl SessionScorer {
     /// feeding the flight recorder when one is armed. `steps` carries the
     /// scoring pass's own per-step factors (exact mode); when absent an
     /// alarmed window's attribution is computed here, π-anchored over the
-    /// ring's calls. `flag_ll` is the score the flag is classified on —
-    /// `ll` itself everywhere except tier-armed sessions, which classify
-    /// on the gap-bound lower bound.
+    /// ring's calls.
     fn emit(
         &mut self,
         scorer: &WindowScorer,
         ll: f64,
-        flag_ll: f64,
         session: &str,
         steps: Option<Vec<f64>>,
     ) -> Alert {
@@ -1579,7 +1486,6 @@ impl SessionScorer {
             &mut self.flight,
             scorer,
             ll,
-            flag_ll,
             session,
             steps,
             window,
@@ -1590,13 +1496,11 @@ impl SessionScorer {
     /// replay path emits windows that live in its combined ring+facts
     /// buffer rather than the ring, so this takes the recorder and mode as
     /// split borrows instead of `&mut self`.
-    #[allow(clippy::too_many_arguments)]
     fn emit_window(
         mode: ScoringMode,
         flight: &mut Option<Box<FlightRecorder>>,
         scorer: &WindowScorer,
         ll: f64,
-        flag_ll: f64,
         session: &str,
         steps: Option<Vec<f64>>,
         window: &[WindowEvent],
@@ -1605,7 +1509,7 @@ impl SessionScorer {
         let names: Vec<String> = window.iter().map(|f| f.name(profile).to_string()).collect();
         let ooc = window.iter().find(|f| f.ooc);
         let leak = window.iter().find(|f| f.labeled);
-        let flag = Flag::classify(flag_ll, scorer.threshold(), leak.is_some(), ooc.is_some());
+        let flag = Flag::classify(ll, scorer.threshold(), leak.is_some(), ooc.is_some());
         let detail = alert_detail(
             flag,
             ooc.map(|f| (f.name(profile), f.caller.as_str())),
@@ -1890,23 +1794,17 @@ mod tests {
 
     #[test]
     fn full_tier_armed_session_is_bit_identical_to_unarmed_baseline() {
-        // Arming the ladder installs the beam *suspended*: as long as the
-        // session holds the full tier, nothing is ever pruned, the gap
-        // bound stays zero, and every alert is bit-identical to the
-        // unarmed incremental baseline — even with an aggressive beam.
+        // As long as an armed session holds the full tier, every alert is
+        // bit-identical to the unarmed incremental baseline.
         let scorer =
             WindowScorer::new(Arc::new(cyclic_profile())).with_kernel(KernelConfig::Sparse {
                 sparse: adprom_hmm::SparseConfig::default(),
             });
-        let beam = BeamConfig {
-            top_k: Some(1),
-            mass_epsilon: 0.0,
-        };
         for (i, trace) in traces().iter().enumerate() {
             let expected = format!("{:?}", scorer.scan_incremental(trace, "").0);
             for batch in FEEDS {
-                let mut armed = SessionScorer::new(&scorer, ScoringMode::Incremental)
-                    .with_tier_support(&scorer, beam, 4);
+                let mut armed =
+                    SessionScorer::new(&scorer, ScoringMode::Incremental).with_tier_support(4);
                 assert_eq!(armed.tier(), ScoringTier::Full);
                 let mut got = feed(&mut armed, &scorer, trace, batch);
                 got.extend(armed.finalize(&scorer, ""));
@@ -1915,7 +1813,6 @@ mod tests {
                     format!("{got:?}"),
                     "trace {i}, batch {batch}: full tier must not perturb the baseline"
                 );
-                assert_eq!(armed.gap_bound(), 0.0, "trace {i}: beam never engaged");
             }
         }
     }
@@ -1925,18 +1822,14 @@ mod tests {
         for batch in FEEDS {
             let registry = Registry::new();
             let scorer = WindowScorer::new(Arc::new(cyclic_profile())).with_registry(&registry);
-            let beam = BeamConfig {
-                top_k: None,
-                mass_epsilon: 0.0,
-            };
-            let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental)
-                .with_tier_support(&scorer, beam, 4);
+            let mut state =
+                SessionScorer::new(&scorer, ScoringMode::Incremental).with_tier_support(4);
             state.assign_tier(ScoringTier::SpotCheck);
             assert_eq!(state.carried_verdict(), None, "no window emitted yet");
             // Four benign cycles: 12 events, 10 windows. Only every fourth
-            // check emits (windows 4 and 8); the other eight are provably
-            // Normal — the exact score is at or above its lower bound,
-            // which clears the threshold — and are skipped.
+            // check emits (windows 4 and 8); the other eight are Normal —
+            // the exact score clears the threshold and no call is out of
+            // context — and are skipped.
             let trace = trace_from(&[
                 "a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b", "c_Q7", "a", "b", "c_Q7",
             ]);
@@ -1953,42 +1846,37 @@ mod tests {
     }
 
     #[test]
-    fn beam_tier_alarm_escalates_back_to_full_and_pins() {
+    fn spot_tier_alarm_escalates_back_to_full_and_pins() {
         for batch in FEEDS {
             let registry = Registry::new();
-            let scorer = WindowScorer::new(Arc::new(cyclic_profile()))
-                .with_kernel(KernelConfig::Sparse {
-                    sparse: adprom_hmm::SparseConfig::default(),
-                })
-                .with_registry(&registry);
-            let beam = BeamConfig {
-                top_k: Some(2),
-                mass_epsilon: 0.0,
-            };
-            let mut state = SessionScorer::new(&scorer, ScoringMode::Incremental)
-                .with_tier_support(&scorer, beam, 4);
-            state.assign_tier(ScoringTier::BeamPruned);
-            assert_eq!(state.tier(), ScoringTier::BeamPruned);
-            // The exfiltration window alarms under the demoted tier: the
-            // session must escalate itself back to full scoring.
+            let scorer = WindowScorer::new(Arc::new(cyclic_profile())).with_registry(&registry);
+            let mut state =
+                SessionScorer::new(&scorer, ScoringMode::Incremental).with_tier_support(4);
+            state.assign_tier(ScoringTier::SpotCheck);
+            assert_eq!(state.tier(), ScoringTier::SpotCheck);
+            // The exfiltration call is out of context, so SpotCheck cannot
+            // skip its window: it alarms and the session escalates itself
+            // back to full scoring, emitting exactly the unarmed alerts.
             let attack = trace_from(&["a", "evil_exfil", "c_Q7", "a"]);
             let mut alerts = feed(&mut state, &scorer, &attack, batch);
             alerts.extend(state.finalize(&scorer, ""));
-            assert!(
-                alerts.iter().any(Alert::is_alarm),
-                "batch {batch}: the attack still alarms"
+            assert_eq!(
+                format!("{alerts:?}"),
+                format!("{:?}", scorer.scan_incremental(&attack, "").0),
+                "batch {batch}"
             );
-            assert!(state.escalations() >= 1);
+            assert!(alerts.iter().any(Alert::is_alarm));
+            assert_eq!(state.escalations(), 1);
             assert_eq!(state.tier(), ScoringTier::Full);
             // An alarmed session is pinned: a later demotion is a no-op.
             state.assign_tier(ScoringTier::SpotCheck);
             assert_eq!(state.tier(), ScoringTier::Full);
             let snap = registry.snapshot();
-            assert!(snap.counter("monitor.tier.escalations").unwrap() >= 1);
+            assert_eq!(snap.counter("monitor.tier.escalations"), Some(1));
             // Every alarm carries a tier stamp, in emit order.
             let stamps = state.take_tier_stamps();
             assert_eq!(stamps.len(), alerts.iter().filter(|a| a.is_alarm()).count());
-            assert_eq!(stamps[0].tier, ScoringTier::BeamPruned);
+            assert_eq!(stamps[0].tier, ScoringTier::SpotCheck);
             assert_eq!(
                 stamps[0].escalation.as_deref(),
                 Some("alarm raised below full tier")

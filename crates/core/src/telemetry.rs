@@ -50,19 +50,15 @@ pub struct DetectMetrics {
     /// `monitor.tier.full.windows` — windows emitted by tier-armed
     /// sessions while assigned the full-incremental tier.
     pub tier_full_windows: Counter,
-    /// `monitor.tier.beam.windows` — windows emitted under the
-    /// beam-pruned tier (flags classified on the gap-bound lower bound).
-    pub tier_beam_windows: Counter,
     /// `monitor.tier.spot.windows` — windows emitted under the
     /// spot-check tier (cadence checks plus danger escapes).
     pub tier_spot_windows: Counter,
     /// `monitor.tier.spot.skipped` — spot-check windows whose verdict was
-    /// carried forward without emission (provably Normal: lower-bound
-    /// score at or above threshold and no out-of-context call).
+    /// carried forward without emission (Normal: exact score at or above
+    /// threshold and no out-of-context call).
     pub tier_spot_skipped: Counter,
     /// `monitor.tier.escalations` — self-escalations back to the full
-    /// tier (gap-bound uncertainty around the threshold, or an alarm
-    /// raised below the full tier).
+    /// tier (an alarm raised below the full tier).
     pub tier_escalations: Counter,
 }
 
@@ -88,7 +84,6 @@ impl DetectMetrics {
             f32_windows: registry.counter("detect.kernel.f32_windows"),
             f32_rescored: registry.counter("detect.kernel.f32_rescored"),
             tier_full_windows: registry.counter("monitor.tier.full.windows"),
-            tier_beam_windows: registry.counter("monitor.tier.beam.windows"),
             tier_spot_windows: registry.counter("monitor.tier.spot.windows"),
             tier_spot_skipped: registry.counter("monitor.tier.spot.skipped"),
             tier_escalations: registry.counter("monitor.tier.escalations"),
@@ -231,9 +226,6 @@ pub struct MonitorMetrics {
     /// `monitor.tier.full.assigned` — risk-scheduler assignments to the
     /// full-incremental tier (one per session per re-evaluation).
     pub tier_full_assigned: Counter,
-    /// `monitor.tier.beam.assigned` — assignments to the beam-pruned
-    /// tier.
-    pub tier_beam_assigned: Counter,
     /// `monitor.tier.spot.assigned` — assignments to the spot-check
     /// tier.
     pub tier_spot_assigned: Counter,
@@ -293,7 +285,6 @@ impl MonitorMetrics {
             flush_batch_sessions: registry.gauge("monitor.flush.batch_sessions"),
             forensics_reports: registry.counter("monitor.forensics.reports"),
             tier_full_assigned: registry.counter("monitor.tier.full.assigned"),
-            tier_beam_assigned: registry.counter("monitor.tier.beam.assigned"),
             tier_spot_assigned: registry.counter("monitor.tier.spot.assigned"),
             shed_events: registry.counter("monitor.shed.events"),
             backpressure_flushes: registry.counter("monitor.backpressure.flushes"),
@@ -344,7 +335,7 @@ impl ShardMetrics {
 
 /// Converts a (non-Normal) alert into an audit record for `session`,
 /// stamped with the scoring `kernel` that produced the window's score
-/// (`dense`, `sparse`, or `beam`). The sequence number is assigned later
+/// (`dense` or `sparse`). The sequence number is assigned later
 /// by [`AuditLog::record`](adprom_obs::AuditLog::record). For DataLeak
 /// alerts the DDG label and block id are lifted from the window,
 /// connecting the alert back to its data source.
@@ -374,7 +365,6 @@ pub fn audit_record_from_alert(alert: &Alert, session: &str, kernel: &str) -> Au
         forensics: None,
         tier: None,
         escalation: None,
-        gap_bound_micronats: None,
     }
 }
 

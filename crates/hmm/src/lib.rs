@@ -15,9 +15,7 @@
 //! event in O(N²) instead of recomputing the whole window, and [`sparse`]
 //! provides [`SparseTransitions`]: a CSR transition kernel that drops the
 //! per-event constant to O(nnz + N) — exactly for smoothed pCTM models via
-//! the background + deviation decomposition. The sliding scorer can
-//! beam-prune its α vector ([`BeamConfig`]) under a sound log-likelihood
-//! error bound. [`batch`] layers a lane-major cross-window kernel on top
+//! the background + deviation decomposition. [`batch`] layers a lane-major cross-window kernel on top
 //! ([`score_windows_batch`]): k same-profile windows scored in one pass
 //! over the transition structure, each lane bit-identical to the scalar
 //! kernel, with an f32 fast path ([`F32Kernel`], [`Precision`]) whose
@@ -48,6 +46,6 @@ pub use model::{normalize, Hmm, HmmError};
 pub use sliding::{scan_scores, SlidingForward, SlidingState, SlidingStats};
 pub use sparse::{
     backward_sparse, forward_sparse, log_likelihood_sparse, step_scores_sparse, viterbi_sparse,
-    BeamConfig, SparseConfig, SparseStats, SparseTransitions,
+    SparseConfig, SparseStats, SparseTransitions,
 };
 pub use viterbi::viterbi;

@@ -48,37 +48,9 @@
 //! recompute would report for a window containing an impossible event.
 //! Models smoothed with [`crate::Hmm::smooth`] (as AD-PROM profiles are)
 //! never hit this path; the anchor then stays at event 0 forever.
-//!
-//! # Beam pruning
-//!
-//! [`SlidingState::with_beam`] zeroes low-mass α entries after every
-//! scaling step (top-k and/or mass-threshold, see [`BeamConfig`]) and
-//! tracks a **sound upper bound** on the log-likelihood the chain may have
-//! lost. With scaled error mass `Ê_t` (exact-minus-pruned α, in the pruned
-//! chain's units) and pruned mass `p_t` at step `t`:
-//!
-//! ```text
-//! Ê_{t+1} ≤ (Ê_t + p_t) · max_j b_j(o_{t+1}) / c_{t+1}
-//! log P_exact − log P_pruned ≤ ln(1 + Ê_T)
-//! ```
-//!
-//! The bound follows from entrywise monotonicity of the forward recursion
-//! (row-stochastic A, non-negative α): pruning only removes mass, and a
-//! removed state can re-inject at most `bmax/c` of its mass per step. The
-//! naive bound `−Σ ln(1 − p_t)` is *not* sound — a pruned state may be the
-//! sole emitter of a later symbol — which is why the recursion carries
-//! `bmax` explicitly.
-//!
-//! A window score is a difference of two prefix log-likelihoods, each
-//! underestimated by at most the chain's running peak of `ln(1 + Ê)`, so
-//! [`SlidingState::gap_bound`] reports that peak (summed over chains
-//! closed by re-anchors). Suspending the beam
-//! ([`SlidingState::set_beam_active`]) stops new pruning but keeps the
-//! recursion running, so the bound stays sound for windows that still
-//! overlap pruned pushes.
 
 use crate::model::Hmm;
-use crate::sparse::{prune_alpha, BeamConfig, SparseTransitions};
+use crate::sparse::SparseTransitions;
 
 /// Accounting for one sliding scorer's lifetime — the observability
 /// hook the batch pipeline surfaces as `sliding.reanchors` /
@@ -91,9 +63,6 @@ pub struct SlidingStats {
     /// prefix and restarted from π. The initial anchoring of a fresh (or
     /// reset) scorer does not count — smoothed models report 0 forever.
     pub reanchors: u64,
-    /// α entries zeroed by beam pruning ([`SlidingForward::with_beam`]);
-    /// 0 unless a beam is configured.
-    pub pruned_states: u64,
 }
 
 /// The owned recurrence state of an incremental sliding-window scorer:
@@ -122,27 +91,6 @@ pub struct SlidingState {
     dead: bool,
     /// Lifetime accounting (pushes, re-anchor fallbacks).
     stats: SlidingStats,
-    /// Optional beam pruning of the running α vector.
-    beam: Option<BeamConfig>,
-    /// True while a configured beam is suspended
-    /// ([`SlidingState::set_beam_active`]): pushes propagate exactly, but
-    /// the error recursion keeps running so [`SlidingState::gap_bound`]
-    /// stays a sound bound over windows that still overlap pruned pushes.
-    beam_idle: bool,
-    /// `Ê` of the beam error recursion for the current chain (see the
-    /// module docs).
-    beam_err: f64,
-    /// Running max of `ln(1 + Ê)` over the current chain. A window score
-    /// is a difference of two prefix log-likelihoods, each underestimated
-    /// by at most the chain's peak — so the peak (not the current value,
-    /// which can shrink) bounds the window error in either direction.
-    beam_peak: f64,
-    /// Mass pruned at the previous push.
-    beam_pruned_prev: f64,
-    /// Accumulated peaks of chains already closed by a re-anchor.
-    beam_gap_base: f64,
-    /// Scratch index buffer for beam selection.
-    beam_order: Vec<usize>,
 }
 
 impl SlidingState {
@@ -159,49 +107,7 @@ impl SlidingState {
             anchor: 0,
             dead: true,
             stats: SlidingStats::default(),
-            beam: None,
-            beam_idle: false,
-            beam_err: 0.0,
-            beam_peak: 0.0,
-            beam_pruned_prev: 0.0,
-            beam_gap_base: 0.0,
-            beam_order: Vec::new(),
         }
-    }
-
-    /// Enables beam pruning of the running α vector. Every subsequent
-    /// [`SlidingState::push`] must supply a sparse kernel; the cumulative
-    /// score underestimate is bounded by [`SlidingState::gap_bound`].
-    pub fn with_beam(mut self, beam: BeamConfig) -> SlidingState {
-        self.beam = Some(beam);
-        self
-    }
-
-    /// Suspends (`false`) or resumes (`true`) a configured beam without
-    /// discarding it — the hook a tiered scheduler uses to demote a
-    /// session to pruned scoring and promote it back mid-stream. While
-    /// suspended, pushes propagate the full α vector (no new mass is
-    /// pruned), but the beam error recursion keeps running so
-    /// [`SlidingState::gap_bound`] remains a sound bound for every window
-    /// that still overlaps previously pruned pushes. A no-op without a
-    /// configured beam.
-    pub fn set_beam_active(&mut self, active: bool) {
-        self.beam_idle = !active;
-    }
-
-    /// True when a beam is configured and not suspended.
-    pub fn beam_active(&self) -> bool {
-        self.beam.is_some() && !self.beam_idle
-    }
-
-    /// Sound bound on the beam-induced window-score error so far:
-    /// `|score_exact − score_pruned| ≤ gap_bound()` for every window
-    /// emitted up to now. Per chain this is the running peak of
-    /// `ln(1 + Ê)` (a window score subtracts two prefix log-likelihoods,
-    /// each of which the beam underestimates by at most the peak), summed
-    /// across re-anchored chains. 0.0 without a beam.
-    pub fn gap_bound(&self) -> f64 {
-        self.beam_gap_base + self.beam_peak
     }
 
     /// The configured window length.
@@ -230,10 +136,6 @@ impl SlidingState {
     /// recurrence, it holds no reference to check against.
     pub fn push(&mut self, hmm: &Hmm, kernel: Option<&SparseTransitions>, symbol: usize) -> f64 {
         debug_assert_eq!(self.alpha.len(), hmm.n_states(), "state sized for model");
-        debug_assert!(
-            self.beam.is_none() || kernel.is_some(),
-            "beam pruning requires a sparse kernel"
-        );
         let n = hmm.n_states();
         let mut c = 0.0;
         if !self.dead {
@@ -254,33 +156,15 @@ impl SlidingState {
                     }
                 }
             }
-            let mut bmax = 0.0f64;
             for (j, acc) in self.scratch.iter_mut().enumerate() {
-                let b = hmm.b(j, symbol);
-                bmax = bmax.max(b);
-                *acc *= b;
+                *acc *= hmm.b(j, symbol);
                 c += *acc;
-            }
-            // Beam error recursion, in the live chain's scaled units:
-            // Ê ← (Ê + p_prev) · bmax / c (see the module docs).
-            if self.beam.is_some() && c > 0.0 {
-                self.beam_err = (self.beam_err + self.beam_pruned_prev) * bmax / c;
-                self.beam_peak = self.beam_peak.max(self.beam_err.ln_1p());
             }
         }
         if self.dead || c <= 0.0 {
             // Exact-recompute fallback: restart the chain at this event
             // from π, exactly as a fresh forward pass over obs[t..] would.
             // Every restart except the initial anchoring is a re-anchor.
-            // A restarted chain carries no beam error, but ring slots from
-            // the closed chain may still be in scope — fold its bound into
-            // the cumulative base so gap_bound() stays an upper bound.
-            if self.beam.is_some() {
-                self.beam_gap_base += self.beam_peak;
-                self.beam_err = 0.0;
-                self.beam_peak = 0.0;
-                self.beam_pruned_prev = 0.0;
-            }
             if self.seen > 0 {
                 self.stats.reanchors += 1;
             }
@@ -296,17 +180,6 @@ impl SlidingState {
             let inv = 1.0 / c;
             for (dst, &src) in self.alpha.iter_mut().zip(self.scratch.iter()) {
                 *dst = src * inv;
-            }
-            if let Some(beam) = self.beam {
-                if self.beam_idle {
-                    // Suspended: nothing pruned this push, so the next
-                    // error-recursion step folds in zero fresh mass.
-                    self.beam_pruned_prev = 0.0;
-                } else {
-                    let (pm, pc) = prune_alpha(&mut self.alpha, &mut self.beam_order, &beam);
-                    self.beam_pruned_prev = pm;
-                    self.stats.pruned_states += pc as u64;
-                }
             }
             c.ln()
         } else {
@@ -331,8 +204,7 @@ impl SlidingState {
         self.ring.iter().sum()
     }
 
-    /// Clears all state (keeping the beam configuration), ready for a new
-    /// trace.
+    /// Clears all state, ready for a new trace.
     pub fn reset(&mut self) {
         self.alpha.iter_mut().for_each(|v| *v = 0.0);
         self.ring.clear();
@@ -340,10 +212,6 @@ impl SlidingState {
         self.anchor = 0;
         self.dead = true;
         self.stats = SlidingStats::default();
-        self.beam_err = 0.0;
-        self.beam_peak = 0.0;
-        self.beam_pruned_prev = 0.0;
-        self.beam_gap_base = 0.0;
     }
 }
 
@@ -390,25 +258,6 @@ impl<'a> SlidingForward<'a> {
         self
     }
 
-    /// Enables beam pruning of the running α vector. Requires a kernel
-    /// ([`with_kernel`](SlidingForward::with_kernel)); the cumulative
-    /// score underestimate is bounded by
-    /// [`gap_bound`](SlidingForward::gap_bound).
-    pub fn with_beam(mut self, beam: BeamConfig) -> SlidingForward<'a> {
-        assert!(
-            self.kernel.is_some(),
-            "beam pruning requires a sparse kernel"
-        );
-        self.state = self.state.with_beam(beam);
-        self
-    }
-
-    /// Sound bound on the beam-induced window-score error so far; see
-    /// [`SlidingState::gap_bound`]. 0.0 without a beam.
-    pub fn gap_bound(&self) -> f64 {
-        self.state.gap_bound()
-    }
-
     /// The configured window length.
     pub fn window(&self) -> usize {
         self.state.window()
@@ -447,8 +296,7 @@ impl<'a> SlidingForward<'a> {
         self.state.score()
     }
 
-    /// Clears all state (keeping the kernel/beam configuration), ready for
-    /// a new trace.
+    /// Clears all state (keeping the kernel), ready for a new trace.
     pub fn reset(&mut self) {
         self.state.reset();
     }
@@ -593,90 +441,6 @@ mod tests {
             let k = sparse.push(s);
             assert!((d - k).abs() < 1e-9, "{d} vs {k}");
         }
-        assert_eq!(sparse.gap_bound(), 0.0, "no beam, no gap");
-    }
-
-    #[test]
-    fn beam_scores_lower_bounded_by_gap() {
-        use crate::sparse::{BeamConfig, SparseConfig, SparseTransitions};
-        let hmm = smoothed(10, 6, 21);
-        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-        let obs = hmm.sample(100, 8);
-        let mut exact = SlidingForward::new(&hmm, 15).with_kernel(&sp);
-        let mut pruned = SlidingForward::new(&hmm, 15)
-            .with_kernel(&sp)
-            .with_beam(BeamConfig {
-                top_k: Some(3),
-                mass_epsilon: 0.02,
-            });
-        for &s in &obs {
-            let e = exact.push(s);
-            let p = pruned.push(s);
-            let gap = e - p;
-            assert!(
-                gap.abs() <= pruned.gap_bound() + 1e-9,
-                "window gap {gap} exceeds bound {}",
-                pruned.gap_bound()
-            );
-        }
-        assert!(pruned.stats().pruned_states > 0);
-    }
-
-    #[test]
-    fn suspended_beam_scores_exactly_and_resume_prunes() {
-        use crate::sparse::{BeamConfig, SparseConfig, SparseTransitions};
-        let hmm = smoothed(10, 6, 21);
-        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-        let obs = hmm.sample(120, 8);
-        let beam = BeamConfig {
-            top_k: Some(3),
-            mass_epsilon: 0.02,
-        };
-        // A beam configured but suspended from the start is bit-identical
-        // to no beam at all, and its gap bound stays zero.
-        let mut exact = SlidingState::new(hmm.n_states(), 15);
-        let mut idle = SlidingState::new(hmm.n_states(), 15).with_beam(beam);
-        idle.set_beam_active(false);
-        assert!(!idle.beam_active());
-        for &s in &obs[..40] {
-            let e = exact.push(&hmm, Some(&sp), s);
-            let i = idle.push(&hmm, Some(&sp), s);
-            assert_eq!(e.to_bits(), i.to_bits(), "suspended beam must be exact");
-        }
-        assert_eq!(idle.gap_bound(), 0.0);
-        assert_eq!(idle.stats().pruned_states, 0);
-        // Resume: pruning starts, and every window's error stays within
-        // the cumulative gap bound even across the toggle.
-        idle.set_beam_active(true);
-        assert!(idle.beam_active());
-        for &s in &obs[40..80] {
-            let e = exact.push(&hmm, Some(&sp), s);
-            let p = idle.push(&hmm, Some(&sp), s);
-            assert!(
-                (e - p).abs() <= idle.gap_bound() + 1e-9,
-                "gap {} exceeds bound {}",
-                (e - p).abs(),
-                idle.gap_bound()
-            );
-        }
-        assert!(idle.stats().pruned_states > 0, "resumed beam prunes");
-        let bound_at_suspend = idle.gap_bound();
-        assert!(bound_at_suspend > 0.0);
-        // Suspend again: no new pruning, the bound keeps covering windows
-        // that overlap the pruned stretch.
-        idle.set_beam_active(false);
-        let pruned_before = idle.stats().pruned_states;
-        for &s in &obs[80..] {
-            let e = exact.push(&hmm, Some(&sp), s);
-            let p = idle.push(&hmm, Some(&sp), s);
-            assert!(
-                (e - p).abs() <= idle.gap_bound() + 1e-9,
-                "post-suspend gap {} exceeds bound {}",
-                (e - p).abs(),
-                idle.gap_bound()
-            );
-        }
-        assert_eq!(idle.stats().pruned_states, pruned_before);
     }
 
     #[test]

@@ -35,13 +35,6 @@
 //! preserving the row sum); the resulting model differs from the original
 //! by at most [`SparseStats::max_fold_deviation`] per entry. `epsilon = 0`
 //! keeps the kernel an exact reparametrization of the input matrix.
-//!
-//! # Beam pruning
-//!
-//! [`BeamConfig`] and the pruning step behind it serve the sliding
-//! recurrence ([`crate::sliding::SlidingState::with_beam`]), where the
-//! monitor's overload tiers suspend and resume it; the sound error bound
-//! it tracks is derived in [`crate::sliding`].
 
 use crate::forward::{ForwardPass, StepScores};
 use crate::model::Hmm;
@@ -745,71 +738,6 @@ pub fn viterbi_sparse(hmm: &Hmm, sp: &SparseTransitions, obs: &[usize]) -> (Vec<
     (path, best)
 }
 
-/// Beam-pruning policy for [`crate::sliding::SlidingState::with_beam`]
-/// (and [`crate::sliding::SlidingForward::with_beam`]). Both constraints
-/// apply when both are set; the default prunes nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct BeamConfig {
-    /// Keep at most this many states per step (None = unlimited).
-    pub top_k: Option<usize>,
-    /// Drop the smallest states whose combined scaled-α mass stays below
-    /// this fraction (0.0 = keep everything).
-    pub mass_epsilon: f64,
-}
-
-impl Default for BeamConfig {
-    fn default() -> BeamConfig {
-        BeamConfig {
-            top_k: None,
-            mass_epsilon: 0.0,
-        }
-    }
-}
-
-impl BeamConfig {
-    /// True if this configuration can ever prune a state.
-    pub fn is_active(&self) -> bool {
-        self.top_k.is_some() || self.mass_epsilon > 0.0
-    }
-}
-
-/// Zeroes the α entries outside the beam; returns `(pruned mass, pruned
-/// count)`. `alpha` must be scaled (sum ≈ 1). Ties break by state index
-/// for determinism.
-pub(crate) fn prune_alpha(
-    alpha: &mut [f64],
-    order: &mut Vec<usize>,
-    config: &BeamConfig,
-) -> (f64, usize) {
-    let n = alpha.len();
-    let cap = config.top_k.unwrap_or(n).clamp(1, n);
-    order.clear();
-    order.extend(0..n);
-    order.sort_unstable_by(|&x, &y| {
-        alpha[y]
-            .partial_cmp(&alpha[x])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(x.cmp(&y))
-    });
-    let keep_mass = 1.0 - config.mass_epsilon;
-    let mut kept = 0.0;
-    let mut k = 0;
-    while k < cap && (kept < keep_mass || k == 0) {
-        kept += alpha[order[k]];
-        k += 1;
-    }
-    let mut pruned_mass = 0.0;
-    let mut pruned = 0usize;
-    for &i in &order[k..] {
-        if alpha[i] > 0.0 {
-            pruned_mass += alpha[i];
-            pruned += 1;
-        }
-        alpha[i] = 0.0;
-    }
-    (pruned_mass, pruned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1049,22 +977,5 @@ mod tests {
             assert!((lp - ls).abs() < 1e-9);
             let _ = pd;
         }
-    }
-
-    #[test]
-    fn prune_keeps_mass_and_cap() {
-        let mut alpha = vec![0.4, 0.3, 0.2, 0.05, 0.05];
-        let mut order = Vec::new();
-        let (pm, pc) = prune_alpha(
-            &mut alpha,
-            &mut order,
-            &BeamConfig {
-                top_k: Some(3),
-                mass_epsilon: 0.0,
-            },
-        );
-        assert_eq!(pc, 2);
-        assert!((pm - 0.1).abs() < 1e-12);
-        assert_eq!(alpha, vec![0.4, 0.3, 0.2, 0.0, 0.0]);
     }
 }

@@ -46,9 +46,8 @@ pub struct AuditRecord {
     pub threshold: f64,
     /// Human-readable detail from the engine.
     pub detail: String,
-    /// Scoring kernel that produced `log_likelihood` (`dense`, `sparse`,
-    /// or `beam`) — beam-pruned scores are approximate, so forensics need
-    /// to know which path flagged the window.
+    /// Scoring kernel that produced `log_likelihood` (`dense` or
+    /// `sparse`), so forensics know which path flagged the window.
     pub kernel: String,
     /// The DDG-labeled output call (`printf_Q6`) for DataLeak alerts.
     pub label: Option<String>,
@@ -61,23 +60,20 @@ pub struct AuditRecord {
     /// missing on parse, so records written before this field existed
     /// still round-trip.
     pub forensics: Option<ForensicReport>,
-    /// Scoring tier the alarming window was scored under (`full`,
-    /// `beam`, `spot`) when the runtime's risk-budget tier ladder was
-    /// armed. Omitted/lenient like `forensics`.
+    /// Scoring tier the alarming window was scored under (`full` or
+    /// `spot`) when the runtime's risk-budget tier ladder was armed.
+    /// Omitted/lenient like `forensics`.
     pub tier: Option<String>,
     /// Why the alarm escalated its session back to full scoring, when a
-    /// degraded-tier window alarmed or scored inside the gap bound.
+    /// window below the full tier alarmed.
     pub escalation: Option<String>,
-    /// Cumulative beam-pruning score-error bound at emission, in
-    /// integral micro-nats — the provenance that bounds how far
-    /// `log_likelihood` can sit above the exact score.
-    pub gap_bound_micronats: Option<i64>,
 }
 
 // Serialization is hand-written (the derive stand-in has no
 // `#[serde(default)]`): `forensics` and the tier-provenance fields are
 // emitted only when present and parsed leniently, every other field
-// exactly as the derive would.
+// exactly as the derive would. Fields are looked up by name and unknown
+// keys are ignored, so lines from older writers still parse.
 impl Serialize for AuditRecord {
     fn serialize(&self) -> Content {
         let mut map: Vec<(Content, Content)> = Vec::with_capacity(16);
@@ -105,9 +101,6 @@ impl Serialize for AuditRecord {
         if let Some(escalation) = &self.escalation {
             push("escalation", escalation.serialize());
         }
-        if let Some(gap) = &self.gap_bound_micronats {
-            push("gap_bound_micronats", gap.serialize());
-        }
         Content::Map(map)
     }
 }
@@ -133,7 +126,6 @@ impl Deserialize for AuditRecord {
             forensics: de_field_opt(map, "forensics")?,
             tier: de_field_opt(map, "tier")?,
             escalation: de_field_opt(map, "escalation")?,
-            gap_bound_micronats: de_field_opt(map, "gap_bound_micronats")?,
         })
     }
 }
@@ -616,7 +608,6 @@ mod tests {
             forensics: None,
             tier: None,
             escalation: None,
-            gap_bound_micronats: None,
         }
     }
 
@@ -667,18 +658,15 @@ mod tests {
         assert_eq!(parsed.forensics, None);
         assert_eq!(parsed.tier, None);
         assert_eq!(parsed.escalation, None);
-        assert_eq!(parsed.gap_bound_micronats, None);
     }
 
     #[test]
     fn tier_provenance_round_trips_and_is_omitted_when_absent() {
         let mut record = leak_record();
-        record.tier = Some("beam".into());
+        record.tier = Some("spot".into());
         record.escalation = Some("alarm raised below full tier".into());
-        record.gap_bound_micronats = Some(1234);
         let line = record.to_jsonl();
-        assert!(line.contains("\"tier\":\"beam\""));
-        assert!(line.contains("\"gap_bound_micronats\":1234"));
+        assert!(line.contains("\"tier\":\"spot\""));
         let parsed = AuditRecord::from_jsonl(&line).unwrap();
         assert_eq!(parsed, record);
         // Unstamped records keep the keys out of the line entirely.
@@ -686,7 +674,6 @@ mod tests {
         let line = plain.to_jsonl();
         assert!(!line.contains("tier"));
         assert!(!line.contains("escalation"));
-        assert!(!line.contains("gap_bound"));
     }
 
     #[test]
@@ -899,6 +886,37 @@ mod tests {
             registry2.snapshot().gauge("audit.wal_bytes"),
             Some(written as i64)
         );
+    }
+
+    #[test]
+    fn wal_with_a_line_from_the_retired_beam_tier_still_loads() {
+        // A framed line as older writers produced it: the retired `beam`
+        // tier, its escalation text and its score-bound key. The reader
+        // stops at the first line it cannot parse, so rejecting the old
+        // line would silently drop every record after it.
+        let path = temp_path("legacy-tier.wal");
+        let legacy = r#"{"seq":7,"app":"a","session":"s","epoch":1,"flag":"ANOMALOUS","window":["x"],"log_likelihood":-9.0,"threshold":-5.0,"detail":"d","kernel":"sparse","label":null,"bid":null,"tier":"beam","escalation":"pruned score within gap bound of threshold","gap_bound_micronats":1234}"#;
+        std::fs::write(&path, super::frame_record(legacy)).unwrap();
+        let mut current = leak_record();
+        current.tier = Some("spot".into());
+        current.escalation = Some("alarm raised below full tier".into());
+        {
+            let (sink, report) = DurableAuditSink::open(&path).unwrap();
+            assert_eq!(report.valid_records, 1);
+            sink.append(&current);
+        }
+        let report = DurableAuditSink::recover(&path).unwrap();
+        assert!(!report.torn);
+        assert_eq!(report.valid_records, 2);
+        let records = DurableAuditSink::read_records(&path).unwrap();
+        assert_eq!(records.len(), 2, "the old line must not end the log");
+        assert_eq!(records[0].seq, 7);
+        assert_eq!(records[0].tier.as_deref(), Some("beam"));
+        assert_eq!(
+            records[0].escalation.as_deref(),
+            Some("pruned score within gap bound of threshold")
+        );
+        assert_eq!(records[1], current);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl Gauge {
     }
 
     /// Raises the gauge to `value` if it is below it — a running maximum
-    /// (e.g. the worst beam-pruning error bound seen so far). Lowering
+    /// (e.g. the queue-depth high-water mark). Lowering
     /// requires [`Gauge::set`].
     #[inline]
     pub fn record_max(&self, value: i64) {
@@ -532,7 +532,7 @@ mod tests {
     #[test]
     fn gauge_record_max_is_a_running_maximum() {
         let registry = Registry::new();
-        let g = registry.gauge("beam.gap");
+        let g = registry.gauge("queue.depth");
         g.record_max(5);
         g.record_max(3); // below the max: ignored
         assert_eq!(g.get(), 5);

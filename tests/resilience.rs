@@ -306,7 +306,6 @@ proptest! {
                 forensics: None,
                 tier: None,
                 escalation: None,
-                gap_bound_micronats: None,
             })
             .collect();
         for record in &originals {
