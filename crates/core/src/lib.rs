@@ -71,8 +71,8 @@ pub use shard::{
     ShardStatus, ShardTally, ShardedMonitor,
 };
 pub use telemetry::{
-    audit_record_from_alert, DetectMetrics, MonitorMetrics, RegistryMetrics, ResilienceMetrics,
-    ShardMetrics,
+    audit_record_from_alert, DetectMetrics, FrameMetrics, MonitorMetrics, RegistryMetrics,
+    ResilienceMetrics, ShardMetrics,
 };
 pub use threshold::{select_threshold, threshold_sweep, AdaptiveThreshold};
 pub use wire::{

@@ -44,6 +44,7 @@ use crate::scorer::{
     WindowEvent, WindowMemo, WindowScorer,
 };
 use crate::telemetry::{audit_record_from_alert, DetectMetrics, MonitorMetrics, ResilienceMetrics};
+use crate::wire::WireRecord;
 use adprom_obs::{AuditLog, ForensicReport, Registry, SpanContext, Tracer};
 use adprom_trace::TaggedCall;
 use rayon::prelude::*;
@@ -57,8 +58,11 @@ use std::time::Instant;
 /// FNV-1a for the live-session index: two short-string lookups per
 /// ingested event, where SipHash's per-hash setup dominates. Collision
 /// quality is irrelevant at this scale (hundreds of live sessions).
+/// Streaming: writing a key in pieces hashes exactly like writing it
+/// whole, which is how [`shard_for`](crate::shard::shard_for) hashes
+/// `app ‖ 0xFF ‖ session` without building the key.
 #[derive(Debug)]
-struct Fnv(u64);
+pub(crate) struct Fnv(u64);
 
 impl Default for Fnv {
     fn default() -> Fnv {
@@ -495,6 +499,12 @@ impl MonitorRuntime {
     /// eviction, and backpressure decisions happen here, on the logical
     /// event clock, so they replay identically at any thread count.
     pub fn ingest(&mut self, tagged: &TaggedCall) -> IngestStatus {
+        self.ingest_record(&WireRecord::from(tagged))
+    }
+
+    /// [`MonitorRuntime::ingest`] over a borrowed record — the one
+    /// per-record core behind pre-tagged and framed ingest alike.
+    pub(crate) fn ingest_record(&mut self, record: &WireRecord<'_>) -> IngestStatus {
         self.metrics.events.inc();
         // The span borrows a clone of the tracer so the guard can outlive
         // the `&mut self` call it times. Built only when tracing is on.
@@ -503,23 +513,23 @@ impl MonitorRuntime {
             t.enter_with(
                 "monitor/ingest",
                 SpanContext {
-                    app: tagged.app.clone(),
-                    session: tagged.session.clone(),
+                    app: record.app.to_string(),
+                    session: record.session.to_string(),
                     epoch: 0,
                     batch: self.flush_seq,
                     shard: self.shard_id,
                 },
             )
         });
-        self.ingest_inner(tagged)
+        self.ingest_inner(record)
     }
 
     /// The per-event hot path, with counter updates hoisted out so
     /// [`MonitorRuntime::ingest_stream`] pays for them once per stream
     /// rather than once per event.
-    fn ingest_inner(&mut self, tagged: &TaggedCall) -> IngestStatus {
+    fn ingest_inner(&mut self, record: &WireRecord<'_>) -> IngestStatus {
         let timer = self.metrics.stage_ingest_ns.is_enabled().then(Instant::now);
-        let status = self.ingest_event(tagged);
+        let status = self.ingest_event(record);
         if let Some(t0) = timer {
             self.metrics
                 .stage_ingest_ns
@@ -541,7 +551,7 @@ impl MonitorRuntime {
     /// backpressure flush itself (excluded from `monitor.stage.ingest_ns`
     /// so the histogram measures ingest, not a whole flush that happened
     /// to trigger here).
-    fn ingest_event(&mut self, tagged: &TaggedCall) -> IngestStatus {
+    fn ingest_event(&mut self, record: &WireRecord<'_>) -> IngestStatus {
         self.tick += 1;
         if matches!(
             self.fault_pressure.fire(self.tick),
@@ -553,11 +563,11 @@ impl MonitorRuntime {
         }
         let idx = match self
             .live
-            .get(tagged.app.as_str())
-            .and_then(|sessions| sessions.get(tagged.session.as_str()))
+            .get(record.app)
+            .and_then(|sessions| sessions.get(record.session))
         {
             Some(&idx) => idx,
-            None => match self.open_session(&tagged.app, &tagged.session) {
+            None => match self.open_session(record.app, record.session) {
                 Some(idx) => idx,
                 None => {
                     // No profile registered for this app: the event cannot
@@ -576,7 +586,7 @@ impl MonitorRuntime {
                 Some(FaultKind::QueueOverflow)
             );
         let mut status = IngestStatus::Admitted;
-        let fact = self.slots[idx].scorer.digest(&tagged.event);
+        let fact = self.slots[idx].scorer.digest(record.name, record.caller);
         if full {
             if self.config.overload.shed_policy == ShedPolicy::DropNewest
                 && !self.protected(idx)
@@ -617,7 +627,7 @@ impl MonitorRuntime {
     pub fn ingest_stream(&mut self, stream: &[TaggedCall]) {
         self.metrics.events.add(stream.len() as u64);
         for tagged in stream {
-            self.ingest_inner(tagged);
+            self.ingest_inner(&WireRecord::from(tagged));
         }
     }
 

@@ -355,26 +355,30 @@ impl WindowScorer {
         &self.metrics
     }
 
-    /// Digests one event against the profile — encoding, out-of-context
-    /// and labeled-output facts, computed exactly once per event.
-    pub(crate) fn digest(&self, event: &CallEvent) -> WindowEvent {
+    /// Digests one event, given by its call name and caller, against the
+    /// profile — encoding, out-of-context and labeled-output facts,
+    /// computed exactly once per event. Borrowed input, so the framed
+    /// ingest path digests straight from the frame bytes; the only
+    /// allocations are an out-of-vocabulary name (alerts print it) and an
+    /// out-of-context caller (alerts describe it).
+    pub(crate) fn digest(&self, name: &str, caller: &str) -> WindowEvent {
         let alphabet = &self.profile.alphabet;
-        let ooc = self.profile.is_out_of_context(&event.name, &event.caller);
-        let encoded = alphabet.encode(&event.name);
+        let ooc = self.profile.is_out_of_context(name, caller);
+        let encoded = alphabet.encode(name);
         // A name that mapped to `<unk>` without literally being `<unk>`
         // is out-of-vocabulary: keep it so alerts show the real call.
-        let name = (encoded == alphabet.unknown() && &*event.name != alphabet.decode(encoded))
-            .then(|| Arc::clone(&event.name));
+        let oov = (encoded == alphabet.unknown() && name != alphabet.decode(encoded))
+            .then(|| Arc::from(name));
         WindowEvent {
-            name,
+            name: oov,
             caller: if ooc {
-                event.caller.to_string()
+                caller.to_string()
             } else {
                 String::new()
             },
             encoded,
             ooc,
-            labeled: event.name.contains("_Q"),
+            labeled: name.contains("_Q"),
         }
     }
 
@@ -1676,7 +1680,10 @@ mod tests {
         trace: &[CallEvent],
         batch: usize,
     ) -> Vec<Alert> {
-        let facts: Vec<WindowEvent> = trace.iter().map(|e| scorer.digest(e)).collect();
+        let facts: Vec<WindowEvent> = trace
+            .iter()
+            .map(|e| scorer.digest(&e.name, &e.caller))
+            .collect();
         let mut alerts = Vec::new();
         for chunk in facts.chunks(batch) {
             state.push_facts(scorer, chunk, "", &mut alerts, None);

@@ -4,11 +4,12 @@
 //! ## Partitioning
 //!
 //! Sessions are partitioned by the same FNV-1a hash the runtime's
-//! live-session index uses ([`fnv1a`] over `app`, a `0xFF` separator,
-//! then `session`), so every event of a session lands on one shard for
-//! the session's whole life. Each shard is a completely independent
-//! [`MonitorRuntime`]: its own serial ingest clock, its own bounded
-//! queue and [`OverloadConfig`](crate::runtime::OverloadConfig)
+//! live-session index uses ([`fnv1a`](crate::runtime::fnv1a) over
+//! `app`, a `0xFF` separator, then `session`), so every event of a
+//! session lands on one shard for the session's whole life. Each shard
+//! is a completely independent [`MonitorRuntime`]: its own serial ingest
+//! clock, its own bounded queue and
+//! [`OverloadConfig`](crate::runtime::OverloadConfig)
 //! (backpressure and shedding are per-shard decisions, not global), and
 //! its own scoring pool — so each shard independently keeps the
 //! bit-identical-verdicts-at-any-thread-count guarantee, and the merged
@@ -23,7 +24,9 @@
 //! resynchronizes, so one bad frame never poisons the next), and screens
 //! every record through [`TraceValidator`] before routing — a defective
 //! event (corrupt name, malformed DDG label) is quarantined with a
-//! reason, never scored.
+//! reason, never scored. Both arrive at one per-record core over a
+//! borrowed [`WireRecord`]: framed records are screened, routed and
+//! digested straight from the frame bytes, with no owned copy.
 //!
 //! [`ShardedMonitor::ingest_stream_parallel`] drives all shards from one
 //! pre-partitioned pass with one OS thread per shard — same per-shard
@@ -50,25 +53,29 @@
 use crate::detect::Flag;
 use crate::registry::{ProfileRegistry, SwapError};
 use crate::resilience::{Health, HealthMonitor};
-use crate::runtime::{
-    fnv1a, IngestStatus, MonitorRuntime, RuntimeConfig, SessionEnd, SessionReport,
-};
-use crate::telemetry::ShardMetrics;
+use crate::runtime::{Fnv, IngestStatus, MonitorRuntime, RuntimeConfig, SessionEnd, SessionReport};
+use crate::telemetry::{FrameMetrics, ShardMetrics};
 use crate::wire::{FrameDecoder, FrameDefect, WireRecord};
 use crate::Profile;
-use adprom_obs::{Registry, Tracer};
+use adprom_obs::{Histogram, Registry, Tracer};
 use adprom_trace::{QuarantinedTrace, TaggedCall, TraceValidator};
+use std::hash::Hasher;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Which shard a session belongs to: FNV-1a over the `(app, session)`
 /// pair, reduced modulo the shard count. Stable for the life of the
 /// deployment — resharding means draining and replaying.
+///
+/// The hash streams over `app ‖ 0xFF ‖ session` —
+/// [`fnv1a`](crate::runtime::fnv1a) of that key, without building it —
+/// so routing allocates nothing.
 pub fn shard_for(app: &str, session: &str, shards: usize) -> usize {
-    let mut key = Vec::with_capacity(app.len() + 1 + session.len());
-    key.extend_from_slice(app.as_bytes());
-    key.push(0xFF); // unambiguous separator: never appears in UTF-8
-    key.extend_from_slice(session.as_bytes());
-    (fnv1a(&key) % shards.max(1) as u64) as usize
+    let mut hash = Fnv::default();
+    hash.write(app.as_bytes());
+    hash.write(&[0xFF]); // unambiguous separator: never appears in UTF-8
+    hash.write(session.as_bytes());
+    (hash.finish() % shards.max(1) as u64) as usize
 }
 
 /// Splits a tagged stream into per-shard substreams, preserving each
@@ -134,6 +141,21 @@ pub struct FrameIngest {
     pub quarantined: Vec<QuarantinedTrace>,
 }
 
+impl FrameIngest {
+    /// Tallies what a shard's ingest boundary did with one routed record.
+    fn count(&mut self, status: IngestStatus) {
+        match status {
+            IngestStatus::Admitted => self.admitted += 1,
+            IngestStatus::Backpressured => {
+                self.admitted += 1;
+                self.backpressured += 1;
+            }
+            IngestStatus::Shed => self.shed += 1,
+            IngestStatus::UnknownApp => self.unknown_app += 1,
+        }
+    }
+}
+
 /// Control-plane commands. See the module docs for semantics.
 #[derive(Debug)]
 pub enum ServiceCommand {
@@ -177,8 +199,13 @@ pub struct ShardedMonitor {
     profiles: Arc<ProfileRegistry>,
     validator: TraceValidator,
     metrics: Vec<ShardMetrics>,
+    frame_metrics: FrameMetrics,
     tallies: Vec<ShardTally>,
     health: Vec<HealthMonitor>,
+    /// `ingest_frames`' per-frame route table, `(record index, shard)`
+    /// for each clean record, kept between calls so it stops allocating
+    /// once it has grown to the largest frame.
+    routes: Vec<(usize, usize)>,
 }
 
 impl ShardedMonitor {
@@ -194,8 +221,10 @@ impl ShardedMonitor {
             profiles,
             validator: TraceValidator::new(),
             metrics: vec![ShardMetrics::disabled(); n],
+            frame_metrics: FrameMetrics::disabled(),
             tallies: vec![ShardTally::default(); n],
             health: (0..n).map(|_| HealthMonitor::new()).collect(),
+            routes: Vec::new(),
         }
     }
 
@@ -227,11 +256,14 @@ impl ShardedMonitor {
     /// `monitor.shard.<i>.{ingested,backpressured,shed}` family, the
     /// shared `monitor.*` handles inside every shard runtime (counters
     /// aggregate across shards; gauges are last-writer), ingest screening
-    /// counters, and per-shard health gauges.
+    /// counters, the framed path's per-frame stage histograms
+    /// (`wire.decode_ns`, `ingest.screen_ns`, `shard.route_ns`), and
+    /// per-shard health gauges.
     pub fn with_registry(mut self, registry: &Registry) -> ShardedMonitor {
         self.metrics = (0..self.shards.len())
             .map(|i| ShardMetrics::from_registry(registry, i))
             .collect();
+        self.frame_metrics = FrameMetrics::from_registry(registry);
         self.shards = self
             .shards
             .into_iter()
@@ -306,7 +338,14 @@ impl ShardedMonitor {
     /// shard's ingest boundary did with it.
     pub fn ingest(&mut self, tagged: &TaggedCall) -> IngestStatus {
         let shard = self.shard_of(&tagged.app, &tagged.session);
-        let status = self.shards[shard].ingest(tagged);
+        self.ingest_routed(shard, &WireRecord::from(tagged))
+    }
+
+    /// The per-record core behind [`ShardedMonitor::ingest`] and
+    /// [`ShardedMonitor::ingest_frames`]: hands one borrowed record to
+    /// `shard` and tallies the outcome.
+    fn ingest_routed(&mut self, shard: usize, record: &WireRecord<'_>) -> IngestStatus {
+        let status = self.shards[shard].ingest_record(record);
         self.note(shard, status);
         status
     }
@@ -355,38 +394,63 @@ impl ShardedMonitor {
     /// shard. Corrupt frames are quarantined by the decoder (which
     /// resynchronizes past them); defective records are quarantined by
     /// the validator. Neither is ever scored.
+    ///
+    /// Equivalent to composing the public pieces — [`FrameDecoder`],
+    /// [`WireRecord::to_tagged`], [`TraceValidator::screen`] over each
+    /// frame's records as one-event traces, then
+    /// [`ShardedMonitor::ingest`] per kept record — with the same
+    /// reports, `FrameIngest` and validator counters, but every record
+    /// stays borrowed from `buf`: a clean frame for live sessions that
+    /// triggers no flush allocates only the decoder's record vector.
     pub fn ingest_frames(&mut self, buf: &[u8]) -> FrameIngest {
         let mut report = FrameIngest::default();
-        // Decode borrows `buf`; materialize per frame so routing can
-        // take `&mut self`.
-        let mut frames: Vec<Vec<TaggedCall>> = Vec::new();
+        let timed = self.frame_metrics.decode_ns.is_enabled();
+        let clock = || timed.then(Instant::now);
+        let mut routes = std::mem::take(&mut self.routes);
+        // The decoder borrows `buf`, not `self`, so each frame is
+        // screened, routed and handed to its shards as soon as it
+        // decodes.
+        let mut decode_start = clock();
         for item in FrameDecoder::new(buf) {
-            match item {
-                Ok(batch) => {
-                    report.frames += 1;
-                    report.records += batch.len();
-                    frames.push(batch.iter().map(WireRecord::to_tagged).collect());
+            let batch = match item {
+                Ok(batch) => batch,
+                Err(defect) => {
+                    report.frame_defects.push(defect);
+                    continue;
                 }
-                Err(defect) => report.frame_defects.push(defect),
-            }
-        }
-        for batch in &frames {
-            let sessions: Vec<String> = batch.iter().map(|t| t.session.clone()).collect();
-            let traces: Vec<Vec<_>> = batch.iter().map(|t| vec![t.event.clone()]).collect();
-            let screened = self.validator.screen(&sessions, &traces);
-            for &idx in &screened.kept_indices {
-                match self.ingest(&batch[idx]) {
-                    IngestStatus::Admitted => report.admitted += 1,
-                    IngestStatus::Backpressured => {
-                        report.admitted += 1;
-                        report.backpressured += 1;
-                    }
-                    IngestStatus::Shed => report.shed += 1,
-                    IngestStatus::UnknownApp => report.unknown_app += 1,
+            };
+            report.frames += 1;
+            report.records += batch.len();
+            let screen_start = clock();
+            routes.clear();
+            for (index, record) in batch.iter().enumerate() {
+                match self
+                    .validator
+                    .screen_record(index, record.session, record.name)
+                {
+                    Ok(()) => routes.push((index, 0)),
+                    Err(quarantined) => report.quarantined.push(quarantined),
                 }
             }
-            report.quarantined.extend(screened.quarantined);
+            let route_start = clock();
+            let shards = self.shards.len();
+            for (index, shard) in &mut routes {
+                let record = &batch[*index];
+                *shard = shard_for(record.app, record.session, shards);
+            }
+            if let (Some(t0), Some(t1), Some(t2)) = (decode_start, screen_start, route_start) {
+                let t3 = Instant::now();
+                let metrics = &self.frame_metrics;
+                record_span(&metrics.decode_ns, t0, t1);
+                record_span(&metrics.screen_ns, t1, t2);
+                record_span(&metrics.route_ns, t2, t3);
+            }
+            for &(index, shard) in &routes {
+                report.count(self.ingest_routed(shard, &batch[index]));
+            }
+            decode_start = clock();
         }
+        self.routes = routes;
         report
     }
 
@@ -474,6 +538,11 @@ impl ShardedMonitor {
     }
 }
 
+/// Records the nanoseconds from `start` to `end` into `histogram`.
+fn record_span(histogram: &Histogram, start: Instant, end: Instant) {
+    histogram.record(u64::try_from((end - start).as_nanos()).unwrap_or(u64::MAX));
+}
+
 /// Folds a merged report stream into the service-level verdict
 /// partition: how many sessions ended Normal / Anomalous / DataLeak /
 /// OutOfContext.
@@ -494,7 +563,7 @@ pub fn verdict_partition(reports: &[SessionReport]) -> [usize; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::OverloadConfig;
+    use crate::runtime::{fnv1a, OverloadConfig};
     use crate::scorer::ScoringMode;
     use crate::wire::encode_stream;
     use crate::{Alphabet, Profile};
@@ -593,6 +662,28 @@ mod tests {
             .map(|i| monitor.shard_of("bank", &format!("s-{i}")))
             .collect();
         assert!(used.len() > 1, "{used:?}");
+    }
+
+    #[test]
+    fn streaming_route_hash_equals_fnv1a_of_the_joined_key() {
+        for (app, session) in [
+            ("bank", "s-1"),
+            ("", ""),
+            ("ab", "c"),
+            ("a", "bc"),
+            ("ü", "会话"),
+        ] {
+            let mut key = app.as_bytes().to_vec();
+            key.push(0xFF);
+            key.extend_from_slice(session.as_bytes());
+            for shards in [1usize, 2, 3, 4, 8, 64] {
+                assert_eq!(
+                    shard_for(app, session, shards),
+                    (fnv1a(&key) % shards as u64) as usize,
+                    "{app:?}/{session:?} at {shards} shards"
+                );
+            }
+        }
     }
 
     #[test]

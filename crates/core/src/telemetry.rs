@@ -333,6 +333,40 @@ impl ShardMetrics {
     }
 }
 
+/// Per-frame stage histograms of
+/// [`ShardedMonitor::ingest_frames`](crate::shard::ShardedMonitor::ingest_frames):
+/// one sample per valid frame in each, from one clock read per stage, so
+/// the framed path shows its own stage costs without a clock read per
+/// record.
+#[derive(Debug, Clone, Default)]
+pub struct FrameMetrics {
+    /// `wire.decode_ns` — decoding one valid frame (header, CRC, payload
+    /// parse), including any defective frames the decoder skipped on the
+    /// way to it.
+    pub decode_ns: Histogram,
+    /// `ingest.screen_ns` — screening every record of the frame through
+    /// the trace validator.
+    pub screen_ns: Histogram,
+    /// `shard.route_ns` — hashing the frame's clean records to shards.
+    pub route_ns: Histogram,
+}
+
+impl FrameMetrics {
+    /// All-no-op handles (the default).
+    pub fn disabled() -> FrameMetrics {
+        FrameMetrics::default()
+    }
+
+    /// Registers the three histograms against `registry`.
+    pub fn from_registry(registry: &Registry) -> FrameMetrics {
+        FrameMetrics {
+            decode_ns: registry.histogram("wire.decode_ns"),
+            screen_ns: registry.histogram("ingest.screen_ns"),
+            route_ns: registry.histogram("shard.route_ns"),
+        }
+    }
+}
+
 /// Converts a (non-Normal) alert into an audit record for `session`,
 /// stamped with the scoring `kernel` that produced the window's score
 /// (`dense` or `sparse`). The sequence number is assigned later

@@ -42,15 +42,18 @@
 //! [`FrameDecoder`] walks a buffer front to back, yielding one
 //! `Ok(Vec<WireRecord>)` per valid frame. Record fields borrow straight
 //! out of the buffer (`&str` slices — the decoder never copies payload
-//! bytes), so a shard can screen and route a batch before allocating
-//! anything for it. Any frame that fails validation — bad magic, torn
-//! header, length past the buffer, CRC mismatch, or a payload that does
-//! not parse — yields one `Err(`[`FrameDefect`]`)` and the decoder
-//! *resynchronizes*: it scans for the next magic and continues, so a
-//! single corrupt frame is quarantined without poisoning the frames
-//! behind it. (The WAL's recovery scan truncates at the first bad frame
-//! instead; an append-only log wants the clean-prefix guarantee, a wire
-//! decoder wants maximum salvage.) Defective frames are *reported*, never
+//! bytes), and [`ShardedMonitor::ingest_frames`](crate::shard::ShardedMonitor::ingest_frames)
+//! screens, routes and digests every record from those borrowed fields:
+//! a clean frame for live sessions that triggers no flush costs one
+//! allocation, the decoded record vector. Any frame that fails
+//! validation — bad magic, torn header, length past the buffer, CRC
+//! mismatch, or a payload that does not parse — yields one
+//! `Err(`[`FrameDefect`]`)` and the decoder *resynchronizes*: it scans
+//! for the next magic and continues, so a single corrupt frame is
+//! quarantined without poisoning the frames behind it. (The WAL's
+//! recovery scan truncates at the first bad frame instead; an
+//! append-only log wants the clean-prefix guarantee, a wire decoder
+//! wants maximum salvage.) Defective frames are *reported*, never
 //! silently skipped — the service routes them through the same
 //! quarantine accounting as [`TraceValidator`](adprom_trace::TraceValidator).
 
@@ -120,8 +123,9 @@ pub struct FrameDefect {
 }
 
 /// One `(app, session, event)` record, borrowed zero-copy from the
-/// frame buffer. Convert with [`WireRecord::to_tagged`] once the record
-/// passes screening.
+/// frame buffer — or from a [`TaggedCall`] (`WireRecord::from`), which
+/// is how the runtime's one per-record ingest core also serves
+/// pre-tagged events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireRecord<'a> {
     /// Application id.
@@ -141,8 +145,10 @@ pub struct WireRecord<'a> {
 }
 
 impl WireRecord<'_> {
-    /// Materializes the record as a [`TaggedCall`] (the only allocating
-    /// step of the ingest path).
+    /// Materializes the record as an owned [`TaggedCall`] (two `String`s
+    /// and two `Arc<str>`s, plus the detail), for callers that keep
+    /// records past the frame buffer or compose the ingest pieces
+    /// themselves. Framed ingest never calls it.
     pub fn to_tagged(&self) -> TaggedCall {
         TaggedCall {
             app: self.app.to_string(),
@@ -154,6 +160,20 @@ impl WireRecord<'_> {
                 site: CallSiteId(self.site),
                 detail: self.detail.map(str::to_string),
             },
+        }
+    }
+}
+
+impl<'a> From<&'a TaggedCall> for WireRecord<'a> {
+    fn from(tagged: &'a TaggedCall) -> WireRecord<'a> {
+        WireRecord {
+            app: &tagged.app,
+            session: &tagged.session,
+            name: &tagged.event.name,
+            call: tagged.event.call,
+            caller: &tagged.event.caller,
+            site: tagged.event.site.0,
+            detail: tagged.event.detail.as_deref(),
         }
     }
 }
@@ -457,6 +477,13 @@ mod tests {
     fn frame_round_trips_bit_identically() {
         assert_round_trips(&demo_batch());
         assert_round_trips(&[]); // heartbeat frame
+    }
+
+    #[test]
+    fn borrowing_a_tagged_call_round_trips() {
+        for tagged in demo_batch() {
+            assert_eq!(WireRecord::from(&tagged).to_tagged(), tagged);
+        }
     }
 
     #[test]

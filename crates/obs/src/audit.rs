@@ -222,32 +222,66 @@ impl<W: Write + Send> AuditSink for JsonlAuditSink<W> {
     }
 }
 
+/// Slicing-by-8 tables for the reflected IEEE polynomial, built at
+/// compile time: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC state after byte `b` followed by `k`
+/// zero bytes, so one step folds eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over `bytes`.
 ///
-/// Table-driven, built lazily once; no external dependencies. Used by the
-/// durable audit log and by profile envelopes to detect torn writes and
-/// bit rot before corrupt state reaches the detector.
+/// Slicing-by-8 over compile-time tables, then bytewise over the last
+/// `len % 8` bytes; no external dependencies. Used by the durable audit
+/// log, the ADP1 wire frames and profile envelopes to detect torn writes
+/// and bit rot before corrupt state reaches the detector.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    });
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -744,6 +778,61 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise table-driven CRC-32 that preceded slicing-by-8: the
+    /// reference the fast path must reproduce exactly.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *slot = c;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        // SplitMix64: deterministic filler, no dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        // Every length 0..=64 at every start offset 0..8: all head and
+        // tail splits around the 8-byte steps.
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+        // Random buffers up to 4 KiB at random offsets.
+        for _ in 0..256 {
+            let len = (next() % 4097) as usize;
+            let offset = (next() % 8) as usize;
+            let slice = &buf[offset..offset + len];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "len {len}");
+        }
     }
 
     #[test]

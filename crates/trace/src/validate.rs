@@ -95,10 +95,11 @@ pub struct ScreenedBatch {
     pub quarantined: Vec<QuarantinedTrace>,
 }
 
-/// Checks one event against `policy`. Stateless; the trace-level policy
-/// (unknown-symbol fraction) lives in [`TraceValidator`].
-pub fn check_event(event: &CallEvent, policy: &ValidationPolicy) -> Result<(), EventDefect> {
-    let name = &event.name;
+/// Checks one observation name against `policy` — the one event-level
+/// rule that [`check_event`], [`TraceValidator::check_trace`],
+/// [`TraceValidator::screen`] and [`TraceValidator::screen_record`] all
+/// run. Stateless and allocation-free.
+pub fn check_name(name: &str, policy: &ValidationPolicy) -> Result<(), EventDefect> {
     if name.is_empty() {
         return Err(EventDefect::EmptyName);
     }
@@ -116,6 +117,13 @@ pub fn check_event(event: &CallEvent, policy: &ValidationPolicy) -> Result<(), E
         }
     }
     Ok(())
+}
+
+/// Checks one event against `policy` ([`check_name`] on its name).
+/// Stateless; the trace-level policy (unknown-symbol fraction) lives in
+/// [`TraceValidator`].
+pub fn check_event(event: &CallEvent, policy: &ValidationPolicy) -> Result<(), EventDefect> {
+    check_name(&event.name, policy)
 }
 
 /// Screens batches of traces before detection.
@@ -160,23 +168,31 @@ impl TraceValidator {
 
     /// Validates one trace; `Err` carries the quarantine reason.
     pub fn check_trace(&self, events: &[CallEvent]) -> Result<(), String> {
-        for (i, event) in events.iter().enumerate() {
-            if let Err(defect) = check_event(event, &self.policy) {
+        self.check_names(events.iter().map(|e| &*e.name))
+    }
+
+    /// The trace rule over a trace's observation names: the first name
+    /// failing [`check_name`] quarantines it, then the opt-in
+    /// unknown-fraction policy applies.
+    fn check_names<'a, I>(&self, names: I) -> Result<(), String>
+    where
+        I: Iterator<Item = &'a str> + Clone,
+    {
+        let mut len = 0usize;
+        for (i, name) in names.clone().enumerate() {
+            if let Err(defect) = check_name(name, &self.policy) {
                 self.events_defective.inc();
                 return Err(format!("event {i}: {defect}"));
             }
+            len += 1;
         }
         if let Some(known) = &self.known {
-            if !events.is_empty() && self.policy.max_unknown_fraction < 1.0 {
-                let unknown = events
-                    .iter()
-                    .filter(|e| !known.contains(e.name.as_ref()))
-                    .count();
-                let fraction = unknown as f64 / events.len() as f64;
+            if len > 0 && self.policy.max_unknown_fraction < 1.0 {
+                let unknown = names.filter(|name| !known.contains(*name)).count();
+                let fraction = unknown as f64 / len as f64;
                 if fraction > self.policy.max_unknown_fraction {
                     return Err(format!(
-                        "{unknown}/{} events unknown to the profile (fraction {fraction:.2} > {})",
-                        events.len(),
+                        "{unknown}/{len} events unknown to the profile (fraction {fraction:.2} > {})",
                         self.policy.max_unknown_fraction
                     ));
                 }
@@ -185,32 +201,58 @@ impl TraceValidator {
         Ok(())
     }
 
+    /// Counts one screened trace and, on `Err`, turns the reason into its
+    /// quarantine entry.
+    fn screen_one(
+        &self,
+        index: usize,
+        session: &str,
+        events: usize,
+        checked: Result<(), String>,
+    ) -> Result<(), QuarantinedTrace> {
+        self.traces_screened.inc();
+        checked.map_err(|reason| {
+            self.traces_quarantined.inc();
+            QuarantinedTrace {
+                index,
+                session: session.to_string(),
+                reason,
+                events,
+            }
+        })
+    }
+
     /// Splits `(sessions, traces)` into clean traces and the quarantine
     /// channel. `sessions` may be empty (anonymous batch); otherwise it
     /// must be parallel to `traces`.
     pub fn screen(&self, sessions: &[String], traces: &[Vec<CallEvent>]) -> ScreenedBatch {
         let mut out = ScreenedBatch::default();
         for (index, trace) in traces.iter().enumerate() {
-            self.traces_screened.inc();
-            let session = sessions.get(index).cloned().unwrap_or_default();
-            match self.check_trace(trace) {
+            let session = sessions.get(index).map_or("", String::as_str);
+            match self.screen_one(index, session, trace.len(), self.check_trace(trace)) {
                 Ok(()) => {
-                    out.sessions.push(session);
+                    out.sessions.push(session.to_string());
                     out.traces.push(trace.clone());
                     out.kept_indices.push(index);
                 }
-                Err(reason) => {
-                    self.traces_quarantined.inc();
-                    out.quarantined.push(QuarantinedTrace {
-                        index,
-                        session,
-                        reason,
-                        events: trace.len(),
-                    });
-                }
+                Err(quarantined) => out.quarantined.push(quarantined),
             }
         }
         out
+    }
+
+    /// Screens one record of a batch as the one-event trace it is, from
+    /// its observation name alone: exactly what [`TraceValidator::screen`]
+    /// does with that trace at batch position `index` — same rule, same
+    /// counters, same quarantine entry — without building the batch.
+    /// Allocates only for a quarantined record.
+    pub fn screen_record(
+        &self,
+        index: usize,
+        session: &str,
+        name: &str,
+    ) -> Result<(), QuarantinedTrace> {
+        self.screen_one(index, session, 1, self.check_names(std::iter::once(name)))
     }
 }
 
@@ -314,6 +356,61 @@ mod tests {
         let validator = TraceValidator::new();
         assert!(validator.check_trace(&[]).is_ok());
         assert!(validator.check_trace(&trace(&["printf"])).is_ok());
+    }
+
+    #[test]
+    fn screen_record_matches_screen_of_one_event_traces() {
+        let known: BTreeSet<String> = ["printf".to_string()].into();
+        let strict = ValidationPolicy {
+            max_unknown_fraction: 0.5,
+            ..ValidationPolicy::default()
+        };
+        let names = [
+            "printf",
+            "bad\u{2}name",
+            "printf_Qxx",
+            "",
+            "evil",
+            "printf_Q6",
+        ];
+        let sessions: Vec<String> = (0..names.len()).map(|i| format!("conn-{i}")).collect();
+        let traces: Vec<Vec<CallEvent>> = names.iter().map(|n| trace(&[n])).collect();
+        for validator in [
+            TraceValidator::new(),
+            TraceValidator::new()
+                .with_known_symbols(known)
+                .with_policy(strict),
+        ] {
+            let batch_obs = Registry::new();
+            let batch = validator
+                .clone()
+                .with_registry(&batch_obs)
+                .screen(&sessions, &traces);
+            let record_obs = Registry::new();
+            let per_record = validator.with_registry(&record_obs);
+            let mut quarantined = batch.quarantined.into_iter().peekable();
+            for (index, name) in names.into_iter().enumerate() {
+                let expected = quarantined
+                    .next_if(|q| q.index == index)
+                    .map_or(Ok(()), Err);
+                assert_eq!(
+                    per_record.screen_record(index, &sessions[index], name),
+                    expected,
+                    "{name:?}"
+                );
+            }
+            for counter in [
+                "ingest.traces_screened",
+                "ingest.traces_quarantined",
+                "ingest.events_defective",
+            ] {
+                assert_eq!(
+                    record_obs.snapshot().counter(counter),
+                    batch_obs.snapshot().counter(counter),
+                    "{counter}"
+                );
+            }
+        }
     }
 
     #[test]

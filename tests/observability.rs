@@ -1,16 +1,22 @@
 //! End-to-end observability: on the banking attack workload, every
 //! non-Normal detection must land in the structured audit log as a JSONL
 //! record that round-trips through serde and reproduces the engine's flag,
-//! and the metrics registry must account for every window scored.
+//! and the metrics registry must account for every window scored. Framed
+//! service ingest records one sample per frame in each of its stage
+//! histograms.
 
 use adprom::analysis::analyze;
 use adprom::core::{
     build_profile, ConstructorConfig, DetectionEngine, Flag, MonitorRuntime, ProfileRegistry,
     RuntimeConfig,
 };
+use adprom::core::{encode_stream, Alphabet, Profile, ShardedMonitor, WIRE_HEADER};
+use adprom::hmm::Hmm;
+use adprom::lang::{CallSiteId, LibCall};
 use adprom::obs::{AuditLog, AuditRecord, MemoryAuditSink, MetricsSnapshot, Registry};
-use adprom::trace::TaggedCall;
+use adprom::trace::{CallEvent, TaggedCall};
 use adprom::workloads::banking;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 #[test]
@@ -128,5 +134,85 @@ fn banking_attack_audit_records_roundtrip_and_reproduce_flags() {
         assert_eq!(batched.seq, scanned.seq);
         assert_eq!(batched.flag, scanned.flag);
         assert_eq!(batched.window, scanned.window);
+    }
+}
+
+/// A two-symbol toy profile: enough for sessions to open and score.
+fn toy_profile(app: &str) -> Profile {
+    let alphabet = Alphabet::new(vec!["a".to_string(), "b".to_string()]);
+    let m = alphabet.len();
+    let mut hmm = Hmm::from_rows(vec![vec![1.0; m]; m], vec![vec![1.0; m]; m], vec![1.0; m]);
+    hmm.smooth(1e-4);
+    let call_callers: BTreeMap<String, BTreeSet<String>> = ["a", "b"]
+        .into_iter()
+        .map(|name| (name.to_string(), BTreeSet::from(["main".to_string()])))
+        .collect();
+    Profile {
+        app_name: app.into(),
+        alphabet,
+        hmm,
+        window: 3,
+        threshold: -50.0,
+        call_callers,
+        labeled_outputs: Vec::new(),
+    }
+}
+
+#[test]
+fn framed_ingest_records_one_stage_sample_per_frame() {
+    let profiles = ProfileRegistry::new();
+    profiles.register("bank", toy_profile("bank")).unwrap();
+    let profiles = Arc::new(profiles);
+    let stream: Vec<TaggedCall> = (0..40)
+        .map(|i| TaggedCall {
+            app: "bank".to_string(),
+            session: format!("s-{}", i % 5),
+            event: CallEvent {
+                name: if i == 17 {
+                    "bad\u{1}name"
+                } else {
+                    ["a", "b"][i % 2]
+                }
+                .into(),
+                call: LibCall::Printf,
+                caller: "main".into(),
+                site: CallSiteId(0),
+                detail: None,
+            },
+        })
+        .collect();
+    // Five frames of eight; the first is corrupted and trailing garbage
+    // adds a second frame defect.
+    let mut bytes = encode_stream(&stream, 8);
+    bytes[WIRE_HEADER + 5] ^= 0x10;
+    bytes.extend_from_slice(b"garbage");
+
+    let registry = Registry::new();
+    let mut service = ShardedMonitor::new(Arc::clone(&profiles), 2).with_registry(&registry);
+    let ingest = service.ingest_frames(&bytes);
+    assert_eq!((ingest.frames, ingest.records), (4, 32));
+    assert_eq!(ingest.frame_defects.len(), 2);
+    assert_eq!(ingest.quarantined.len(), 1);
+    let snap = registry.snapshot();
+    for name in ["wire.decode_ns", "ingest.screen_ns", "shard.route_ns"] {
+        assert_eq!(
+            snap.histograms[name].count, ingest.frames as u64,
+            "{name}: one sample per valid frame"
+        );
+    }
+    assert_eq!(
+        snap.counter("ingest.traces_screened"),
+        Some(ingest.records as u64)
+    );
+    assert_eq!(snap.counter("ingest.traces_quarantined"), Some(1));
+
+    // A second call adds its own frames' samples.
+    let again = service.ingest_frames(&encode_stream(&stream[..8], 0));
+    let snap = registry.snapshot();
+    for name in ["wire.decode_ns", "ingest.screen_ns", "shard.route_ns"] {
+        assert_eq!(
+            snap.histograms[name].count,
+            (ingest.frames + again.frames) as u64
+        );
     }
 }
