@@ -91,8 +91,8 @@ fn bench_reestimate(c: &mut Criterion) {
 }
 
 /// Dense full-recompute scoring vs the sparse CSR kernel on the same
-/// 15-length windows — the per-window detection cost the `--sparse` path
-/// of `bench_detect` exercises end-to-end.
+/// 15-length windows — the per-window detection cost a sparse-kernel
+/// runtime pays end to end.
 fn bench_sparse_vs_dense(c: &mut Criterion) {
     const WINDOW: usize = 15;
     const TRACE_LEN: usize = 512;

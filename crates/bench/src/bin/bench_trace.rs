@@ -45,8 +45,8 @@ fn throughput(max_runs: usize, budget_secs: f64, run: &dyn Fn() -> (usize, f64))
     reference as f64 / best
 }
 
-/// Appends `entry` to the JSON history array at `path` (same format as
-/// `BENCH_detect.json`: one object per run).
+/// Appends `entry` to the JSON history array at `path` (one object per
+/// run).
 fn append_history(path: &str, entry: &str) {
     let history = match std::fs::read_to_string(path) {
         Ok(old) => {

@@ -67,8 +67,8 @@ pub use scorer::{
     ForensicsConfig, KernelStatus, ScoringMode, ScoringTier, SessionScorer, WindowScorer,
 };
 pub use shard::{
-    partition_stream, shard_for, verdict_partition, FrameIngest, ServiceCommand, ServiceResponse,
-    ShardStatus, ShardTally, ShardedMonitor,
+    shard_for, FrameIngest, ServiceCommand, ServiceResponse, ShardStatus, ShardTally,
+    ShardedMonitor,
 };
 pub use telemetry::{
     audit_record_from_alert, DetectMetrics, FrameMetrics, MonitorMetrics, RegistryMetrics,

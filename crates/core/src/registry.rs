@@ -27,7 +27,7 @@ use crate::profile::{LoadPolicy, Profile, ProfileDefect, ProfileIoError};
 use crate::resilience::HealthMonitor;
 use crate::scorer::{KernelStatus, WindowScorer};
 use crate::telemetry::RegistryMetrics;
-use adprom_hmm::{HmmError, Precision};
+use adprom_hmm::HmmError;
 use adprom_obs::Registry;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -44,7 +44,6 @@ pub struct ProfileEpoch {
     profile: Arc<Profile>,
     kernel: KernelState,
     status: KernelStatus,
-    precision: Precision,
 }
 
 impl ProfileEpoch {
@@ -63,19 +62,16 @@ impl ProfileEpoch {
         &self.profile
     }
 
-    /// Kernel, precision and batch width this epoch scores with.
+    /// Kernel and batch width this epoch scores with (always in f64).
     pub fn kernel_status(&self) -> &KernelStatus {
         &self.status
     }
 
     /// A [`WindowScorer`] scoring on this epoch. Cheap: the profile and
-    /// the CSR decomposition are shared, not rebuilt (under
-    /// [`Precision::F32Verified`] each scorer mirrors the CSR into f32
-    /// once; callers that fan out clone one scorer, sharing the mirror).
+    /// the CSR decomposition are shared, not rebuilt.
     pub fn scorer(&self) -> WindowScorer {
         WindowScorer::new(Arc::clone(&self.profile))
             .with_kernel_state(self.kernel.clone(), self.status.clone())
-            .with_precision(self.precision)
     }
 
     /// A [`DetectionEngine`] scoring on this epoch.
@@ -120,8 +116,6 @@ struct AppEntry {
 pub struct ProfileRegistry {
     /// Kernel resolved against every registered profile (per epoch).
     kernel: KernelConfig,
-    /// Scoring precision applied to every scorer built from an epoch.
-    precision: Precision,
     /// How profiles loaded from disk treat semantic defects.
     policy: LoadPolicy,
     apps: RwLock<BTreeMap<String, AppEntry>>,
@@ -140,7 +134,6 @@ impl ProfileRegistry {
     pub fn new() -> ProfileRegistry {
         ProfileRegistry {
             kernel: KernelConfig::Dense,
-            precision: Precision::F64,
             policy: LoadPolicy::Strict,
             apps: RwLock::new(BTreeMap::new()),
             metrics: RegistryMetrics::disabled(),
@@ -152,14 +145,6 @@ impl ProfileRegistry {
     /// epochs keep the kernel they were built with.
     pub fn with_kernel(mut self, kernel: KernelConfig) -> ProfileRegistry {
         self.kernel = kernel;
-        self
-    }
-
-    /// Selects the scoring precision for every scorer built from epochs
-    /// published from now on (see
-    /// [`WindowScorer::with_precision`](crate::scorer::WindowScorer::with_precision)).
-    pub fn with_precision(mut self, precision: Precision) -> ProfileRegistry {
-        self.precision = precision;
         self
     }
 
@@ -203,12 +188,11 @@ impl ProfileRegistry {
                 return Err(err);
             }
         };
-        // The published status reports the caps the epoch's scorers will
-        // run with (precision, batch width) — derived through the scorer
-        // itself so registry snapshots can never drift from what scores.
+        // The published status reports the batch width the epoch's
+        // scorers will run with — derived through the scorer itself so
+        // registry snapshots can never drift from what scores.
         let status = WindowScorer::new(Arc::clone(&profile))
             .with_kernel_state(kernel.clone(), KernelStatus::in_force(self.kernel.label()))
-            .with_precision(self.precision)
             .status()
             .clone();
         let mut apps = self.apps.write().expect("registry poisoned");
@@ -222,7 +206,6 @@ impl ProfileRegistry {
             profile,
             kernel,
             status,
-            precision: self.precision,
         });
         apps.insert(
             app.to_string(),

@@ -23,8 +23,7 @@ use crate::profile::Profile;
 use crate::telemetry::{audit_record_from_alert, DetectMetrics};
 use adprom_hmm::{
     log_likelihood, log_likelihood_sparse, score_windows_batch as sparse_windows_batch,
-    step_scores, step_scores_sparse, BatchScores, F32Kernel, Precision, SlidingState, SlidingStats,
-    StepScores,
+    step_scores, step_scores_sparse, F32Kernel, Precision, SlidingState, SlidingStats, StepScores,
 };
 use adprom_obs::{AuditLog, DeviantTransition, ForensicReport, Registry, WindowTrace};
 use adprom_trace::CallEvent;
@@ -74,7 +73,7 @@ impl Default for ForensicsConfig {
 
 /// Unified kernel reporting: which kernel was asked for, which is scoring,
 /// and the precision and batch width it scores with. One struct serves
-/// session reports, audit records and the `bench_detect` JSON.
+/// session reports, audit records and the benchmark's kernel line.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStatus {
     /// The kernel the caller configured (`dense` or `sparse`).
@@ -83,10 +82,10 @@ pub struct KernelStatus {
     /// whose CSR fails validation is rejected at registration, never
     /// downgraded.
     pub effective: String,
-    /// Scoring precision in force: `f64`, or `f32-verified` when the
-    /// guard-banded f32 fast path is scoring (sparse kernel only — the
-    /// dense kernel transparently stays `f64`, see
-    /// [`WindowScorer::with_precision`]).
+    /// Scoring precision in force: `f64`, or `f32-verified` when a
+    /// standalone scorer runs the guard-banded f32 fast path (sparse
+    /// kernel only, see [`WindowScorer::with_precision`]). Registry epochs,
+    /// and so every runtime, always score in `f64`.
     pub precision: String,
     /// Widest window-batch the scorer's batched paths hand the kernel in
     /// one pass; `1` means windows are scored one at a time.
@@ -268,11 +267,11 @@ impl WindowScorer {
     /// threshold — or comes out non-finite — is rescored in f64, so the
     /// emitted flags match the pure-f64 path whenever the true f32↔f64
     /// score gap stays under the band (measured ≈ 1e-4 nats on
-    /// paper-scale profiles, against a 0.25-nat default band; the
-    /// precision proptests and the `bench_detect --simd` `flags_match_f64`
-    /// record pin this). The dense kernel has no f32 mirror and
-    /// transparently keeps scoring in f64, which
-    /// [`KernelStatus::precision`] reports.
+    /// paper-scale profiles, against a 0.25-nat default band;
+    /// `crates/core/tests/precision_flags.rs` pins this). The dense kernel
+    /// has no f32 mirror and transparently keeps scoring in f64, which
+    /// [`KernelStatus::precision`] reports. Library code for standalone
+    /// scorers: registry epochs, and so the runtimes, score in f64.
     pub fn with_precision(mut self, precision: Precision) -> WindowScorer {
         self.precision = precision;
         self.rebuild_fast();
@@ -402,26 +401,18 @@ impl WindowScorer {
             .map(|w| self.profile.alphabet.encode_seq(w))
             .collect();
         let lanes: Vec<&[usize]> = encoded.iter().map(Vec::as_slice).collect();
-        self.score_batch_encoded(&lanes, false).scores
+        self.score_batch_encoded(&lanes)
     }
 
-    /// [`WindowScorer::score_windows_batch`] over already-encoded windows,
-    /// optionally carrying each lane's per-step factors (the forensic
-    /// path). The sparse kernel scores all lanes in one pass — in f32 with
+    /// [`WindowScorer::score_windows_batch`] over already-encoded windows.
+    /// The sparse kernel scores all lanes in one pass — in f32 with
     /// guard-band f64 rescoring under [`Precision::F32Verified`]; the
     /// dense kernel scores lane by lane through the scalar dispatch, so
     /// every caller batches through this one entry point regardless of
     /// kernel.
-    pub(crate) fn score_batch_encoded(
-        &self,
-        windows: &[&[usize]],
-        want_steps: bool,
-    ) -> BatchScores {
+    pub(crate) fn score_batch_encoded(&self, windows: &[&[usize]]) -> Vec<f64> {
         if windows.is_empty() {
-            return BatchScores {
-                scores: Vec::new(),
-                steps: want_steps.then(Vec::new),
-            };
+            return Vec::new();
         }
         match &self.kernel {
             KernelState::Sparse(sp) => {
@@ -429,65 +420,37 @@ impl WindowScorer {
                 let (Precision::F32Verified { guard_band }, Some(fast)) =
                     (self.precision, &self.fast)
                 else {
-                    return sparse_windows_batch(&self.profile.hmm, sp, windows, want_steps);
+                    return sparse_windows_batch(&self.profile.hmm, sp, windows, false).scores;
                 };
-                let mut out = fast.score_windows_batch(windows, want_steps);
+                let mut scores = fast.score_windows_batch(windows, false).scores;
                 let mut rescored = 0u64;
-                for (lane, window) in windows.iter().enumerate() {
-                    let s = out.scores[lane];
-                    if s.is_finite() && (s - self.threshold).abs() > guard_band {
+                for (s, window) in scores.iter_mut().zip(windows) {
+                    if s.is_finite() && (*s - self.threshold).abs() > guard_band {
                         continue;
                     }
                     // Guard-band hit (or non-finite score): the f64 kernel
-                    // decides this window, steps included.
+                    // decides this window.
                     rescored += 1;
-                    if let Some(steps) = &mut out.steps {
-                        let scored = step_scores_sparse(&self.profile.hmm, sp, window);
-                        out.scores[lane] = scored.log_likelihood;
-                        steps[lane] = scored.steps;
-                    } else {
-                        out.scores[lane] = log_likelihood_sparse(&self.profile.hmm, sp, window);
-                    }
+                    *s = log_likelihood_sparse(&self.profile.hmm, sp, window);
                 }
                 self.metrics
                     .f32_windows
                     .add(windows.len() as u64 - rescored);
                 self.metrics.f32_rescored.add(rescored);
-                out
+                scores
             }
-            KernelState::Dense => {
-                let mut scores = Vec::with_capacity(windows.len());
-                let mut steps = want_steps.then(|| Vec::with_capacity(windows.len()));
-                for window in windows {
-                    if let Some(steps) = &mut steps {
-                        let scored = self.score_attributed_encoded(window);
-                        scores.push(scored.log_likelihood);
-                        steps.push(scored.steps);
-                    } else {
-                        scores.push(self.score_encoded(window));
-                    }
-                }
-                BatchScores { scores, steps }
-            }
+            KernelState::Dense => windows.iter().map(|w| self.score_encoded(w)).collect(),
         }
     }
 
     /// [`WindowScorer::score_batch_encoded`] over any number of windows,
     /// in passes of at most [`MAX_BATCH_LANES`] lanes, concatenated in
     /// input order.
-    fn score_lane_capped(&self, windows: &[&[usize]], want_steps: bool) -> BatchScores {
-        let mut out = BatchScores {
-            scores: Vec::with_capacity(windows.len()),
-            steps: want_steps.then(|| Vec::with_capacity(windows.len())),
-        };
-        for lanes in windows.chunks(MAX_BATCH_LANES) {
-            let scored = self.score_batch_encoded(lanes, want_steps);
-            out.scores.extend(scored.scores);
-            if let (Some(all), Some(steps)) = (&mut out.steps, scored.steps) {
-                all.extend(steps);
-            }
-        }
-        out
+    fn score_lane_capped(&self, windows: &[&[usize]]) -> Vec<f64> {
+        windows
+            .chunks(MAX_BATCH_LANES)
+            .flat_map(|lanes| self.score_batch_encoded(lanes))
+            .collect()
     }
 
     /// [`WindowScorer::score`] for an already-encoded window — trace
@@ -533,29 +496,6 @@ impl WindowScorer {
             KernelState::Dense => step_scores(&self.profile.hmm, encoded),
             KernelState::Sparse(sp) => step_scores_sparse(&self.profile.hmm, sp, encoded),
         }
-    }
-
-    /// The forensic *scoring* path: one forward pass that yields both the
-    /// window's score and its per-step factors, with the same f32 metric
-    /// observations as [`WindowScorer::score`] — so a forensics-enabled
-    /// session scores each window exactly once.
-    pub(crate) fn score_attributed_encoded(&self, encoded: &[usize]) -> StepScores {
-        if let (Precision::F32Verified { guard_band }, Some(fast), KernelState::Sparse(sp)) =
-            (self.precision, &self.fast, &self.kernel)
-        {
-            let out = fast.score_windows_batch(&[encoded], true);
-            let s = out.scores[0];
-            if s.is_finite() && (s - self.threshold).abs() > guard_band {
-                self.metrics.f32_windows.inc();
-                return StepScores {
-                    steps: out.steps.expect("steps requested").swap_remove(0),
-                    log_likelihood: s,
-                };
-            }
-            self.metrics.f32_rescored.inc();
-            return step_scores_sparse(&self.profile.hmm, sp, encoded);
-        }
-        self.attribution_encoded(encoded)
     }
 
     /// Classifies one window of events, stamping `session` on any audit
@@ -676,7 +616,7 @@ impl WindowScorer {
             let k = MAX_BATCH_LANES.min(total - first);
             let lanes: Vec<&[usize]> = (first..first + k).map(|s| &encoded[s..s + n]).collect();
             let timer = self.metrics.score_ns.is_enabled().then(Instant::now);
-            let scored = self.score_batch_encoded(&lanes, false);
+            let scores = self.score_batch_encoded(&lanes);
             if let Some(t0) = timer {
                 // One histogram sample per window (the pinned contract),
                 // each carrying the batch's per-window share.
@@ -685,7 +625,7 @@ impl WindowScorer {
                     self.metrics.score_ns.record(per);
                 }
             }
-            for (lane, ll) in scored.scores.into_iter().enumerate() {
+            for (lane, ll) in scores.into_iter().enumerate() {
                 let (start, end) = (first + lane, first + lane + n);
                 let ooc_event = (start..end).find(|&t| ooc[t]).map(|t| &events[t]);
                 let leak_name = (start..end).find(|&t| labeled[t]).map(|t| &names[t]);
@@ -838,7 +778,7 @@ fn score_memoized(
     }
     delta.misses = lanes.len() as u64;
     delta.hits = (windows.len() - lanes.len()) as u64;
-    delta.fresh.scores = scorer.score_lane_capped(&lanes, false).scores;
+    delta.fresh.scores = scorer.score_lane_capped(&lanes);
     for (&i, lane) in missing.iter().zip(lane_of) {
         scores[i] = delta.fresh.scores[lane];
     }
@@ -1265,10 +1205,8 @@ impl SessionScorer {
     ///
     /// With `memo` (the epoch's memo as it stood at flush start), exact
     /// mode scores only the windows it lacks — each distinct one once —
-    /// and returns them for the caller to merge. The memo is bypassed
-    /// with the flight recorder armed, where a score is more than a
-    /// function of the window: an alarm's factors must come from the pass
-    /// that scored it. Incremental mode never reads it.
+    /// and returns them for the caller to merge. Incremental mode never
+    /// reads the memo.
     pub(crate) fn push_facts(
         &mut self,
         scorer: &WindowScorer,
@@ -1298,22 +1236,17 @@ impl SessionScorer {
                 let windows: Vec<&[usize]> = (first_end..combined.len())
                     .map(|e| &encoded[e + 1 - w..=e])
                     .collect();
-                let memo = memo.filter(|_| {
-                    self.flight.is_none() && scorer.profile().alphabet.len() <= MEMO_MAX_SYMBOLS
-                });
+                let memo = memo.filter(|_| scorer.profile().alphabet.len() <= MEMO_MAX_SYMBOLS);
                 let timer = scorer.metrics().score_ns.is_enabled().then(Instant::now);
-                let scored = match memo {
+                let scores = match memo {
                     Some(memo) => {
                         let narrow: Vec<u16> = encoded.iter().map(|&s| s as u16).collect();
                         let keys: Vec<&[u16]> = (first_end..combined.len())
                             .map(|e| &narrow[e + 1 - w..=e])
                             .collect();
-                        BatchScores {
-                            scores: score_memoized(scorer, &windows, &keys, memo, &mut delta),
-                            steps: None,
-                        }
+                        score_memoized(scorer, &windows, &keys, memo, &mut delta)
                     }
-                    None => scorer.score_lane_capped(&windows, self.flight.is_some()),
+                    None => scorer.score_lane_capped(&windows),
                 };
                 if let Some(t0) = timer {
                     // One sample per window, carrying the replay's
@@ -1324,17 +1257,14 @@ impl SessionScorer {
                         scorer.metrics().score_ns.record(per);
                     }
                 }
-                let mut lane_steps = scored.steps.map(Vec::into_iter);
-                for (lane, ll) in scored.scores.into_iter().enumerate() {
+                for (lane, ll) in scores.into_iter().enumerate() {
                     let e = first_end + lane;
-                    let steps = lane_steps.as_mut().and_then(Iterator::next);
                     out.push(Self::emit_window(
                         self.mode,
                         &mut self.flight,
                         scorer,
                         ll,
                         session,
-                        steps,
                         &combined[e + 1 - w..=e],
                     ));
                 }
@@ -1381,30 +1311,22 @@ impl SessionScorer {
         if self.seen == 0 || self.seen >= self.window {
             return None;
         }
-        let (ll, steps) = match self.mode {
+        let ll = match self.mode {
             ScoringMode::ExactWindows => {
                 let encoded: Vec<usize> = self.ring.iter().map(|f| f.encoded).collect();
                 let timer = scorer.metrics().score_ns.is_enabled().then(Instant::now);
-                let (ll, steps) = if self.flight.is_some() {
-                    let scored = scorer.score_attributed_encoded(&encoded);
-                    (scored.log_likelihood, Some(scored.steps))
-                } else {
-                    (scorer.score_encoded(&encoded), None)
-                };
+                let ll = scorer.score_encoded(&encoded);
                 if let Some(t0) = timer {
                     scorer
                         .metrics()
                         .score_ns
                         .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 }
-                (ll, steps)
+                ll
             }
-            ScoringMode::Incremental => (
-                self.sliding.as_ref().expect("incremental state").score(),
-                None,
-            ),
+            ScoringMode::Incremental => self.sliding.as_ref().expect("incremental state").score(),
         };
-        let alert = self.emit(scorer, ll, session, steps);
+        let alert = self.emit(scorer, ll, session);
         if alert.is_alarm() {
             if let Some(state) = self.tier.as_deref_mut() {
                 state.alarmed = true;
@@ -1425,7 +1347,7 @@ impl SessionScorer {
     /// alert is the one the unarmed session would emit.
     fn emit_scored(&mut self, scorer: &WindowScorer, ll: f64, session: &str) -> Option<Alert> {
         let Some(state) = self.tier.as_deref() else {
-            return Some(self.emit(scorer, ll, session, None));
+            return Some(self.emit(scorer, ll, session));
         };
         let tier = state.tier;
         let due = state.since_check + 1 >= state.spot_every;
@@ -1443,7 +1365,7 @@ impl SessionScorer {
                 return None;
             }
         }
-        let alert = self.emit(scorer, ll, session, None);
+        let alert = self.emit(scorer, ll, session);
         let metrics = scorer.metrics();
         match tier {
             ScoringTier::Full => metrics.tier_full_windows.inc(),
@@ -1472,41 +1394,27 @@ impl SessionScorer {
     }
 
     /// Builds and observes the alert for the window currently in the ring,
-    /// feeding the flight recorder when one is armed. `steps` carries the
-    /// scoring pass's own per-step factors (exact mode); when absent an
-    /// alarmed window's attribution is computed here, π-anchored over the
-    /// ring's calls.
-    fn emit(
-        &mut self,
-        scorer: &WindowScorer,
-        ll: f64,
-        session: &str,
-        steps: Option<Vec<f64>>,
-    ) -> Alert {
+    /// feeding the flight recorder when one is armed.
+    fn emit(&mut self, scorer: &WindowScorer, ll: f64, session: &str) -> Alert {
         self.ring.make_contiguous();
         let (window, _) = self.ring.as_slices();
-        Self::emit_window(
-            self.mode,
-            &mut self.flight,
-            scorer,
-            ll,
-            session,
-            steps,
-            window,
-        )
+        Self::emit_window(self.mode, &mut self.flight, scorer, ll, session, window)
     }
 
     /// [`SessionScorer::emit`] over an explicit window slice — the batched
     /// replay path emits windows that live in its combined ring+facts
     /// buffer rather than the ring, so this takes the recorder and mode as
-    /// split borrows instead of `&mut self`.
+    /// split borrows instead of `&mut self`. An alarmed window is
+    /// attributed by a fresh kernel-matched pass over its calls,
+    /// π-anchored: in exact mode its factors re-sum bitwise to `ll`, in
+    /// incremental mode (scores conditioned on session history) the
+    /// report carries both likelihoods.
     fn emit_window(
         mode: ScoringMode,
         flight: &mut Option<Box<FlightRecorder>>,
         scorer: &WindowScorer,
         ll: f64,
         session: &str,
-        steps: Option<Vec<f64>>,
         window: &[WindowEvent],
     ) -> Alert {
         let profile = scorer.profile();
@@ -1541,18 +1449,8 @@ impl SessionScorer {
                 flag: alert.flag.to_string(),
             });
             if alert.is_alarm() {
-                let scored = match steps {
-                    // The factors of the pass that scored this window:
-                    // resumming them reproduces `ll` bitwise.
-                    Some(steps) => StepScores {
-                        steps,
-                        log_likelihood: ll,
-                    },
-                    None => {
-                        let encoded: Vec<usize> = window.iter().map(|f| f.encoded).collect();
-                        scorer.attribution_encoded(&encoded)
-                    }
-                };
+                let encoded: Vec<usize> = window.iter().map(|f| f.encoded).collect();
+                let scored = scorer.attribution_encoded(&encoded);
                 let share = threshold / window.len().max(1) as f64;
                 let mut ranked: Vec<DeviantTransition> = scored
                     .steps

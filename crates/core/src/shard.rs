@@ -50,7 +50,6 @@
 //!   depth, ingest tallies, health).
 //! * `Health` rolls per-shard [`HealthMonitor`] states up to the worst.
 
-use crate::detect::Flag;
 use crate::registry::{ProfileRegistry, SwapError};
 use crate::resilience::{Health, HealthMonitor};
 use crate::runtime::{Fnv, IngestStatus, MonitorRuntime, RuntimeConfig, SessionEnd, SessionReport};
@@ -76,17 +75,6 @@ pub fn shard_for(app: &str, session: &str, shards: usize) -> usize {
     hash.write(&[0xFF]); // unambiguous separator: never appears in UTF-8
     hash.write(session.as_bytes());
     (hash.finish() % shards.max(1) as u64) as usize
-}
-
-/// Splits a tagged stream into per-shard substreams, preserving each
-/// shard's arrival order. The bench harness replays these per shard to
-/// measure the shard array's critical-path throughput.
-pub fn partition_stream(stream: &[TaggedCall], shards: usize) -> Vec<Vec<TaggedCall>> {
-    let mut parts = vec![Vec::new(); shards.max(1)];
-    for tagged in stream {
-        parts[shard_for(&tagged.app, &tagged.session, shards)].push(tagged.clone());
-    }
-    parts
 }
 
 /// Ingest-boundary tallies for one shard (mirrored into the
@@ -543,23 +531,6 @@ fn record_span(histogram: &Histogram, start: Instant, end: Instant) {
     histogram.record(u64::try_from((end - start).as_nanos()).unwrap_or(u64::MAX));
 }
 
-/// Folds a merged report stream into the service-level verdict
-/// partition: how many sessions ended Normal / Anomalous / DataLeak /
-/// OutOfContext.
-pub fn verdict_partition(reports: &[SessionReport]) -> [usize; 4] {
-    let mut partition = [0usize; 4];
-    for report in reports {
-        let idx = match report.verdict {
-            Flag::Normal => 0,
-            Flag::Anomalous => 1,
-            Flag::DataLeak => 2,
-            Flag::OutOfContext => 3,
-        };
-        partition[idx] += 1;
-    }
-    partition
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,16 +883,5 @@ mod tests {
                 .sum::<u64>(),
             1
         );
-    }
-
-    #[test]
-    fn verdict_partition_partitions() {
-        let sessions = demo_sessions(5);
-        let stream = interleave(&sessions, 0x77);
-        let mut monitor = ShardedMonitor::new(registry(), 3);
-        monitor.ingest_stream(&stream);
-        let reports = monitor.finish();
-        let partition = verdict_partition(&reports);
-        assert_eq!(partition.iter().sum::<usize>(), reports.len());
     }
 }

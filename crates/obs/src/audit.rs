@@ -654,8 +654,8 @@ mod tests {
         assert_eq!(parsed, record);
     }
 
-    #[test]
-    fn forensics_field_round_trips_and_old_lines_still_parse() {
+    /// [`leak_record`] explained by a one-step forensic report.
+    fn explained_record() -> AuditRecord {
         use crate::forensics::{DeviantTransition, ForensicReport, WindowTrace};
         let mut record = leak_record();
         record.forensics = Some(ForensicReport {
@@ -677,6 +677,12 @@ mod tests {
                 flag: "DATA-LEAK".into(),
             }],
         });
+        record
+    }
+
+    #[test]
+    fn forensics_field_round_trips_and_old_lines_still_parse() {
+        let record = explained_record();
         let line = record.to_jsonl();
         assert!(line.contains("\"forensics\""));
         let parsed = AuditRecord::from_jsonl(&line).unwrap();
@@ -692,6 +698,55 @@ mod tests {
         assert_eq!(parsed.forensics, None);
         assert_eq!(parsed.tier, None);
         assert_eq!(parsed.escalation, None);
+    }
+
+    /// A JSONL line's parsed value tree.
+    struct Tree(Content);
+
+    impl Deserialize for Tree {
+        fn deserialize(v: &Content) -> Result<Tree, DeError> {
+            Ok(Tree(v.clone()))
+        }
+    }
+
+    /// The value of `object`'s `key`.
+    fn field<'a>(object: &'a Content, key: &str) -> &'a Content {
+        let entries = object.as_map().expect("a JSON object");
+        let entry = entries.iter().find(|(k, _)| k.as_str() == Some(key));
+        &entry.unwrap_or_else(|| panic!("no `{key}`")).1
+    }
+
+    /// The keys of a JSON object.
+    fn keys(object: &Content) -> Vec<&str> {
+        let entries = object.as_map().expect("a JSON object");
+        entries.iter().filter_map(|(k, _)| k.as_str()).collect()
+    }
+
+    #[test]
+    fn forensic_jsonl_carries_the_report_step_and_window_keys() {
+        let Tree(line) = serde_json::from_str(&explained_record().to_jsonl()).unwrap();
+        let report = field(&line, "forensics");
+        assert_eq!(
+            keys(report),
+            [
+                "mode",
+                "window_index",
+                "attributed_log_likelihood",
+                "top_deviant",
+                "recent_windows"
+            ]
+        );
+        for step in field(report, "top_deviant").as_seq().unwrap() {
+            assert_eq!(keys(step), ["step", "call", "from", "log_prob", "deficit"]);
+        }
+        let windows = field(report, "recent_windows").as_seq().unwrap();
+        assert!(!windows.is_empty(), "the per-window delta series");
+        for window in windows {
+            assert_eq!(
+                keys(window),
+                ["index", "log_likelihood", "threshold", "delta", "flag"]
+            );
+        }
     }
 
     #[test]

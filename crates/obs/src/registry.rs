@@ -284,7 +284,7 @@ pub struct HistogramSnapshot {
     pub p99: f64,
 }
 
-/// Point-in-time dump of a whole registry — the `--metrics-out` artifact.
+/// Point-in-time dump of a whole registry, with a JSON exposition.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter values by name.

@@ -5,168 +5,62 @@
 //! promote their flight recorder into a report (no forensics counter
 //! tick, no audit attachment).
 
+mod fixtures;
+mod oracle;
+
 use adprom::core::{
-    Alphabet, ForensicsConfig, MonitorRuntime, Profile, ProfileRegistry, RuntimeConfig, ScoringMode,
+    FaultPlan, ForensicsConfig, KernelConfig, MonitorRuntime, OverloadConfig, ProfileRegistry,
+    ScoringMode,
 };
-use adprom::hmm::Hmm;
-use adprom::lang::{CallSiteId, LibCall};
+use adprom::hmm::SparseConfig;
 use adprom::obs::{AuditLog, MemoryAuditSink, Registry};
 use adprom::trace::{interleave, CallEvent};
+use fixtures::{arb_sessions, cyclic_profile, event};
+use oracle::Sweep;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-fn event(name: &str, caller: &str) -> CallEvent {
-    CallEvent {
-        name: name.into(),
-        call: LibCall::Printf,
-        caller: caller.into(),
-        site: CallSiteId(0),
-        detail: None,
-    }
-}
-
-/// The cyclic a→b→c toy profile, parameterized by app name and threshold
-/// so each "application" is distinguishable.
-fn cyclic_profile(app: &str, threshold: f64) -> Profile {
-    let alphabet = Alphabet::new(vec!["a".to_string(), "b".to_string(), "c_Q7".to_string()]);
-    let m = alphabet.len();
-    let mut a = vec![vec![0.001; m]; m];
-    a[0][1] = 1.0;
-    a[1][2] = 1.0;
-    a[2][0] = 1.0;
-    a[3][3] = 1.0;
-    let mut b = vec![vec![0.001; m]; m];
-    for (i, row) in b.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
-    let pi = vec![1.0; m];
-    let mut hmm = Hmm::from_rows(a, b, pi);
-    hmm.smooth(1e-4);
-    let mut call_callers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for name in ["a", "b", "c_Q7"] {
-        call_callers
-            .entry(name.to_string())
-            .or_default()
-            .insert("main".to_string());
-    }
-    Profile {
-        app_name: app.into(),
-        alphabet,
-        hmm,
-        window: 3,
-        threshold,
-        call_callers,
-        labeled_outputs: vec!["c_Q7".to_string()],
-    }
-}
-
-/// One random session trace: 1–11 calls drawn from the alphabet plus an
-/// out-of-vocabulary name, some issued by an untrained caller.
-fn arb_trace() -> impl Strategy<Value = Vec<CallEvent>> {
-    const NAMES: [&str; 4] = ["a", "b", "c_Q7", "evil_exfil"];
-    prop::collection::vec((0usize..NAMES.len(), any::<bool>()), 1..12).prop_map(|calls| {
-        calls
-            .into_iter()
-            .map(|(pick, attacker)| {
-                event(
-                    NAMES[pick],
-                    if attacker {
-                        "attacker_function"
-                    } else {
-                        "main"
-                    },
-                )
-            })
-            .collect()
-    })
-}
-
-/// Random multi-app session sets: 1–3 sessions each for two apps.
-fn arb_sessions() -> impl Strategy<Value = Vec<(String, String, Vec<CallEvent>)>> {
-    (
-        prop::collection::vec(arb_trace(), 1..4),
-        prop::collection::vec(arb_trace(), 1..4),
-    )
-        .prop_map(|(bank, shop)| {
-            let mut sessions = Vec::new();
-            for (i, trace) in bank.into_iter().enumerate() {
-                sessions.push(("bank".to_string(), format!("b-{i}"), trace));
-            }
-            for (i, trace) in shop.into_iter().enumerate() {
-                sessions.push(("shop".to_string(), format!("s-{i}"), trace));
-            }
-            sessions
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For every random interleaving, scoring mode, and thread count
-    /// ∈ {1, 4, 8}: the audit records — forensic reports included, down to
-    /// every float bit via the serialized JSONL form — are identical, one
-    /// per alarm, each with non-empty top-k attribution and the alerting
-    /// window's exact delta in the flight-recorder tail.
+    /// The forensics slice of the verdict oracle. For every random
+    /// interleaving, kernel, scoring mode and thread count ∈ {1, 4, 8},
+    /// with queue bound 3 forcing many mid-stream flushes: arming the
+    /// flight recorder changes no report and no memo count; the audit
+    /// records — forensic reports included, down to every float bit via
+    /// the serialized JSONL form — are identical at every thread count,
+    /// one per alarm, each with non-empty top-k attribution and the
+    /// alerting window's exact delta in the flight-recorder tail.
     #[test]
     fn forensic_reports_are_bit_identical_across_thread_counts(
-        sessions in arb_sessions(),
+        sessions in arb_sessions(1..4),
         seed in any::<u64>(),
-        incremental in any::<bool>(),
     ) {
         let stream = interleave(&sessions, seed);
-        let mode = if incremental { ScoringMode::Incremental } else { ScoringMode::ExactWindows };
-
-        let mut baseline: Option<Vec<String>> = None;
-        for threads in [1usize, 4, 8] {
-            let registry = ProfileRegistry::new();
-            registry.register("bank", cyclic_profile("bank", -5.0)).unwrap();
-            registry.register("shop", cyclic_profile("shop", -1.0)).unwrap();
-            let sink = Arc::new(MemoryAuditSink::new());
-            let mut runtime = MonitorRuntime::new(Arc::new(registry))
-                .with_threads(threads)
-                .with_config(RuntimeConfig {
-                    mode,
-                    queue_capacity: 3, // force many mid-stream flushes
-                    ..RuntimeConfig::default()
-                })
-                .with_forensics(ForensicsConfig::default())
-                .with_audit(Arc::new(AuditLog::new(sink.clone())));
-            runtime.ingest_stream(&stream);
-            let reports = runtime.finish();
-
-            let alarm_total: usize = reports.iter().map(|r| r.alarms().count()).sum();
-            let records = sink.records();
-            prop_assert_eq!(
-                records.len(), alarm_total,
-                "one audit record per alarm (threads {})", threads
-            );
-            for record in &records {
-                prop_assert!(record.forensics.is_some(), "alarm record carries forensics");
-                let report = record.forensics.as_ref().unwrap();
-                prop_assert!(!report.top_deviant.is_empty(), "non-empty top-k");
-                prop_assert_eq!(
-                    report.alert_delta(),
-                    Some(record.log_likelihood - record.threshold),
-                    "flight recorder captured the alerting window"
-                );
-            }
-            let rendered: Vec<String> = records.iter().map(|r| r.to_jsonl()).collect();
-            match &baseline {
-                None => baseline = Some(rendered),
-                Some(expected) => prop_assert_eq!(
-                    &rendered, expected,
-                    "records diverged at threads {} ({:?})", threads, mode
-                ),
-            }
-        }
+        oracle::check(&Sweep {
+            profiles: &[
+                ("bank", cyclic_profile("bank", -5.0)),
+                ("shop", cyclic_profile("shop", -1.0)),
+            ],
+            stream: &stream,
+            swap: None,
+            shards: &[],
+            threads: &[1, 4, 8],
+            kernels: &[KernelConfig::Dense, KernelConfig::Sparse { sparse: SparseConfig::default() }],
+            modes: &[ScoringMode::ExactWindows, ScoringMode::Incremental],
+            queue_capacity: 3,
+            faults: &[FaultPlan::disabled()],
+            forensics: &[false, true],
+            overloads: &[OverloadConfig::default()],
+        })?;
     }
 }
 
 /// Benign sessions never promote the flight recorder: the ring buffer
 /// fills, but no report is built, nothing lands in the audit log, and the
-/// `monitor.forensics.reports` counter stays at zero.
+/// `monitor.forensics.reports` counter stays at zero. Armed sessions read
+/// the window-score memo exactly as disarmed ones do: the same reports and
+/// the same memo hits and misses.
 #[test]
 fn benign_sessions_produce_no_forensics() {
     let sessions: Vec<(String, String, Vec<CallEvent>)> = (0..4)
@@ -184,33 +78,43 @@ fn benign_sessions_produce_no_forensics() {
         .collect();
     let stream = interleave(&sessions, 0xBE9);
 
-    let registry = ProfileRegistry::new();
-    registry
-        .register("bank", cyclic_profile("bank", -5.0))
-        .unwrap();
-    let obs = Registry::new();
-    let sink = Arc::new(MemoryAuditSink::new());
-    let mut runtime = MonitorRuntime::new(Arc::new(registry))
-        .with_registry(&obs)
-        .with_forensics(ForensicsConfig::default())
-        .with_audit(Arc::new(AuditLog::new(sink.clone())));
-    runtime.ingest_stream(&stream);
-    let reports = runtime.finish();
+    let run = |armed: bool| {
+        let registry = ProfileRegistry::new();
+        registry
+            .register("bank", cyclic_profile("bank", -5.0))
+            .unwrap();
+        let obs = Registry::new();
+        let sink = Arc::new(MemoryAuditSink::new());
+        let mut runtime = MonitorRuntime::new(Arc::new(registry))
+            .with_registry(&obs)
+            .with_audit(Arc::new(AuditLog::new(sink.clone())));
+        if armed {
+            runtime = runtime.with_forensics(ForensicsConfig::default());
+        }
+        runtime.ingest_stream(&stream);
+        let reports = runtime.finish();
+        let snap = obs.snapshot();
+        let memo = ["monitor.memo.hits", "monitor.memo.misses"].map(|name| snap.counter(name));
+        (reports, sink.records(), snap, memo)
+    };
+    let (reports, records, snap, memo) = run(true);
 
     assert_eq!(reports.len(), sessions.len());
     assert!(
         reports.iter().all(|r| r.alarms().count() == 0),
         "the pure cycle must stay benign"
     );
-    assert!(
-        sink.records().is_empty(),
-        "no audit record without an alarm"
-    );
+    assert!(records.is_empty(), "no audit record without an alarm");
     assert_eq!(
-        obs.snapshot()
-            .counter("monitor.forensics.reports")
-            .unwrap_or(0),
+        snap.counter("monitor.forensics.reports").unwrap_or(0),
         0,
         "flight recorder stays un-promoted on the benign path"
     );
+    assert!(
+        memo[0] > Some(0),
+        "the armed runtime read the memo: {memo:?}"
+    );
+    let (plain, _, _, plain_memo) = run(false);
+    assert_eq!(format!("{plain:?}"), format!("{reports:?}"));
+    assert_eq!(plain_memo, memo);
 }

@@ -1,21 +1,21 @@
 //! End-to-end observability: on the banking attack workload, every
 //! non-Normal detection must land in the structured audit log as a JSONL
 //! record that round-trips through serde and reproduces the engine's flag,
-//! and the metrics registry must account for every window scored. Framed
-//! service ingest records one sample per frame in each of its stage
-//! histograms.
+//! and the metrics registry must account for every window scored and name
+//! every pipeline counter. Framed service ingest records one sample per
+//! frame in each of its stage histograms.
 
 use adprom::analysis::analyze;
 use adprom::core::{
     build_profile, ConstructorConfig, DetectionEngine, Flag, MonitorRuntime, ProfileRegistry,
-    RuntimeConfig,
+    RuntimeConfig, ScoringMode,
 };
 use adprom::core::{encode_stream, Alphabet, Profile, ShardedMonitor, WIRE_HEADER};
 use adprom::hmm::Hmm;
 use adprom::lang::{CallSiteId, LibCall};
 use adprom::obs::{AuditLog, AuditRecord, MemoryAuditSink, MetricsSnapshot, Registry};
 use adprom::trace::{CallEvent, TaggedCall};
-use adprom::workloads::banking;
+use adprom::workloads::{banking, hospital};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -135,6 +135,92 @@ fn banking_attack_audit_records_roundtrip_and_reproduce_flags() {
         assert_eq!(batched.flag, scanned.flag);
         assert_eq!(batched.window, scanned.window);
     }
+}
+
+/// Training, a serial scan and both runtime modes under one registry: the
+/// snapshot names every pipeline counter and carries the score and
+/// training latency histograms, and the per-flag counters partition the
+/// windows scored.
+#[test]
+fn metrics_snapshot_names_every_pipeline_counter() {
+    let workload = hospital::workload(8, 9);
+    let analysis = analyze(&workload.program);
+    let traces = workload.collect_traces(&analysis.site_labels);
+    let registry = Registry::new();
+    let mut config = ConstructorConfig::default();
+    config.train.max_iterations = 3;
+    config.registry = registry.clone();
+    let (profile, _) = build_profile("App_h", &analysis, &traces, &config);
+    let engine = DetectionEngine::new(&profile).with_registry(&registry);
+    for trace in &traces {
+        engine.scan(trace);
+    }
+    let profiles = ProfileRegistry::new();
+    profiles.register("hospital", profile).unwrap();
+    let profiles = Arc::new(profiles);
+    let stream: Vec<TaggedCall> = traces
+        .iter()
+        .enumerate()
+        .flat_map(|(i, trace)| {
+            trace.iter().map(move |event| TaggedCall {
+                app: "hospital".to_string(),
+                session: i.to_string(),
+                event: event.clone(),
+            })
+        })
+        .collect();
+    for mode in [ScoringMode::ExactWindows, ScoringMode::Incremental] {
+        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+            .with_registry(&registry)
+            .with_config(RuntimeConfig {
+                mode,
+                ..RuntimeConfig::default()
+            });
+        runtime.ingest_stream(&stream);
+        runtime.finish();
+    }
+
+    let snap = registry.snapshot();
+    let missing: Vec<&str> = [
+        "detect.windows_scored",
+        "detect.flags.normal",
+        "detect.flags.anomalous",
+        "detect.flags.data_leak",
+        "detect.flags.out_of_context",
+        "detect.kernel.batch_windows",
+        "detect.kernel.f32_windows",
+        "detect.kernel.f32_rescored",
+        "monitor.events",
+        "monitor.flushes",
+        "monitor.sessions.opened",
+        "monitor.sessions.finished",
+        "monitor.memo.hits",
+        "monitor.memo.misses",
+        "sliding.pushes",
+        "sliding.reanchors",
+        "train.iterations",
+    ]
+    .into_iter()
+    .filter(|name| snap.counter(name).is_none())
+    .collect();
+    assert!(missing.is_empty(), "missing counters: {missing:?}");
+    for name in [
+        "detect.score_ns",
+        "monitor.stage.score_ns",
+        "train.baumwelch_ns",
+    ] {
+        assert!(
+            snap.histograms.get(name).is_some_and(|h| h.count > 0),
+            "empty histogram {name}"
+        );
+    }
+    let scored = snap.counter("detect.windows_scored").unwrap();
+    assert!(scored > 0);
+    let by_flag: u64 = ["normal", "anomalous", "data_leak", "out_of_context"]
+        .iter()
+        .map(|flag| snap.counter(&format!("detect.flags.{flag}")).unwrap())
+        .sum();
+    assert_eq!(by_flag, scored, "flag counters partition the windows");
 }
 
 /// A two-symbol toy profile: enough for sessions to open and score.

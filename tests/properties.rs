@@ -1,18 +1,19 @@
 //! Property-based tests over the core invariants, driven by proptest.
 
+mod oracle;
+
 use adprom::analysis::{analyze, CallLabel};
 use adprom::core::{
-    strip_label, Alert, Alphabet, DetectionEngine, KernelConfig, MonitorRuntime, Profile,
-    ProfileRegistry, RuntimeConfig, ScoringMode,
+    strip_label, Alphabet, FaultPlan, KernelConfig, OverloadConfig, Profile, ScoringMode,
 };
 use adprom::db::{Database, Value};
 use adprom::hmm::{log_likelihood, Hmm, SparseConfig};
 use adprom::lang::{parse_program, pretty_program, CallSiteId, LibCall};
 use adprom::trace::{sliding_windows, CallEvent, TaggedCall};
 use adprom::workloads::sir::{generate_program, SirSpec};
+use oracle::Sweep;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 fn arb_spec() -> impl Strategy<Value = SirSpec> {
     (1usize..6, 1usize..5, 0usize..4, 0.0f64..1.0, any::<u64>()).prop_map(
@@ -148,16 +149,18 @@ proptest! {
     }
 
     /// A batch of traces fed to the monitor runtime one session per trace
-    /// (replayed in one parallel flush at `finish`) is byte-identical in
-    /// ExactWindows mode to a serial DetectionEngine loop: same alerts
-    /// (including exact floating-point scores), same order, for arbitrary
-    /// batches against arbitrary profiles. An empty trace opens no session
-    /// and counts as zero alerts. Through a sparse-kernel registry (ε = 0)
-    /// every window keeps its dense flag, in both scoring modes.
+    /// (replayed in one flush at `finish`), through the verdict oracle:
+    /// for arbitrary batches against arbitrary random-HMM profiles —
+    /// windows of 1–6, a drawn threshold, out-of-vocabulary and labeled
+    /// names — every session's alerts are byte-identical (exact
+    /// floating-point scores included) to a serial scan of its trace, in
+    /// both scoring modes, which score the same windows. Through a
+    /// sparse-kernel registry (ε = 0) every window keeps its dense flag.
+    /// An empty trace opens no session and gets no report.
     #[test]
     fn runtime_batch_matches_serial_engine(
         seed in any::<u64>(),
-        window in 1usize..6,
+        window in 1usize..=6,
         threshold in -60.0f64..0.0,
         traces in prop::collection::vec(prop::collection::vec(0usize..6, 0..30), 0..12),
     ) {
@@ -178,84 +181,38 @@ proptest! {
             call_callers: BTreeMap::new(),
             labeled_outputs: vec!["c_Q7".to_string(), "x_Q2".to_string()],
         };
-        let batch: Vec<Vec<CallEvent>> = traces
+        // Trace i is session `i`, its events contiguous: unique ids keep
+        // the runtime from merging traces.
+        let stream: Vec<TaggedCall> = traces
             .iter()
-            .map(|t| {
-                t.iter()
-                    .map(|&i| CallEvent {
-                        name: names[i].into(),
+            .enumerate()
+            .flat_map(|(i, trace)| {
+                trace.iter().map(move |&name| TaggedCall {
+                    app: "prop".into(),
+                    session: i.to_string(),
+                    event: CallEvent {
+                        name: names[name].into(),
                         call: LibCall::Printf,
                         caller: "main".into(),
                         site: CallSiteId(0),
                         detail: None,
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Trace i is session `i`: unique ids keep the runtime from merging
-        // traces, and the ids map reports back to input positions.
-        let stream: Vec<TaggedCall> = batch
-            .iter()
-            .enumerate()
-            .flat_map(|(i, trace)| {
-                trace.iter().map(move |event| TaggedCall {
-                    app: "prop".into(),
-                    session: i.to_string(),
-                    event: event.clone(),
+                    },
                 })
             })
             .collect();
-        let run = |kernel: KernelConfig, mode: ScoringMode| -> Vec<Vec<Alert>> {
-            let profiles = ProfileRegistry::new().with_kernel(kernel);
-            profiles.register("prop", profile.clone()).expect("profile validates");
-            let mut runtime = MonitorRuntime::new(Arc::new(profiles)).with_config(RuntimeConfig {
-                mode,
-                max_sessions: 0,
-                queue_capacity: 0,
-                ..RuntimeConfig::default()
-            });
-            runtime.ingest_stream(&stream);
-            let mut alerts = vec![Vec::new(); batch.len()];
-            for report in runtime.finish() {
-                alerts[report.session.parse::<usize>().expect("numeric session")] = report.alerts;
-            }
-            alerts
-        };
-
-        let exact = run(KernelConfig::Dense, ScoringMode::ExactWindows);
-        let engine = DetectionEngine::new(&profile);
-        for (i, trace) in batch.iter().enumerate() {
-            let serial = engine.scan(trace);
-            prop_assert_eq!(&exact[i], &serial, "trace {}", i);
-            // Debug formatting round-trips every f64 digit: equal strings
-            // mean bit-identical scores, not approximately-equal ones.
-            prop_assert_eq!(format!("{:?}", exact[i]), format!("{serial:?}"));
-        }
-
-        // Incremental mode must agree on the window partitioning even
-        // though its scores are conditional.
-        let incremental = run(KernelConfig::Dense, ScoringMode::Incremental);
-        for (e, inc) in exact.iter().zip(&incremental) {
-            prop_assert_eq!(e.len(), inc.len());
-            for (ae, ai) in e.iter().zip(inc) {
-                prop_assert_eq!(&ae.window, &ai.window);
-            }
-        }
-
-        // The sparse kernel sums in a different order: scores agree to
-        // 1e-9, flags and windows exactly.
-        let sparse = KernelConfig::Sparse { sparse: SparseConfig::default() };
-        let modes = [ScoringMode::ExactWindows, ScoringMode::Incremental];
-        for (mode, dense) in modes.into_iter().zip([&exact, &incremental]) {
-            for (d, s) in dense.iter().zip(&run(sparse, mode)) {
-                prop_assert_eq!(d.len(), s.len());
-                for (da, sa) in d.iter().zip(s) {
-                    prop_assert_eq!((da.flag, &da.window), (sa.flag, &sa.window), "{:?}", mode);
-                    prop_assert!((da.log_likelihood - sa.log_likelihood).abs() < 1e-9);
-                }
-            }
-        }
+        oracle::check(&Sweep {
+            profiles: &[("prop", profile)],
+            stream: &stream,
+            swap: None,
+            shards: &[],
+            threads: &[1, 4],
+            kernels: &[KernelConfig::Dense, KernelConfig::Sparse { sparse: SparseConfig::default() }],
+            modes: &[ScoringMode::ExactWindows, ScoringMode::Incremental],
+            queue_capacity: 0,
+            faults: &[FaultPlan::disabled()],
+            forensics: &[false],
+            overloads: &[OverloadConfig::default()],
+        })?;
     }
 
     /// Every Lib label the analyzer produces strips back to a known library

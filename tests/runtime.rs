@@ -6,52 +6,21 @@
 //! sequence determinism under injected faults and for eviction determinism
 //! across thread counts.
 
+mod fixtures;
+mod oracle;
+
 use adprom::core::resilience::sites;
 use adprom::core::{
-    Alphabet, FaultKind, FaultPlan, MonitorRuntime, Profile, ProfileRegistry, RuntimeConfig,
-    ScoringMode, SessionEnd, Trigger, WindowScorer,
+    FaultKind, FaultPlan, KernelConfig, MonitorRuntime, OverloadConfig, Profile, ProfileRegistry,
+    RuntimeConfig, ScoringMode, SessionEnd, Trigger, WindowScorer,
 };
-use adprom::hmm::Hmm;
-use adprom::lang::{CallSiteId, LibCall};
+use adprom::hmm::SparseConfig;
 use adprom::obs::{AuditLog, MemoryAuditSink, Registry};
 use adprom::trace::{interleave, CallEvent, TaggedCall};
+use fixtures::{arb_sessions, cyclic_profile, event, ring_profile};
+use oracle::Sweep;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Injected panics are expected; keep their backtraces out of the output.
-fn quiet_injected_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.contains("fault-injected"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
-
-fn event(name: &str, caller: &str) -> CallEvent {
-    CallEvent {
-        name: name.into(),
-        call: LibCall::Printf,
-        caller: caller.into(),
-        site: CallSiteId(0),
-        detail: None,
-    }
-}
-
-/// The cyclic a→b→c toy profile, parameterized by app name and threshold
-/// so each "application" (and each hot-swap epoch) is distinguishable.
-fn cyclic_profile(app: &str, threshold: f64) -> Profile {
-    ring_profile(app, threshold, [1, 2, 0])
-}
 
 /// The same alphabet and threshold with the cycle reversed (a→c→b): a
 /// different transition matrix, so every window scores differently than
@@ -60,166 +29,60 @@ fn reversed_profile(app: &str, threshold: f64) -> Profile {
     ring_profile(app, threshold, [2, 0, 1])
 }
 
-/// A three-call ring profile: call `i` is followed by call `next[i]`.
-fn ring_profile(app: &str, threshold: f64, next: [usize; 3]) -> Profile {
-    let alphabet = Alphabet::new(vec!["a".to_string(), "b".to_string(), "c_Q7".to_string()]);
-    let m = alphabet.len();
-    let mut a = vec![vec![0.001; m]; m];
-    for (i, &j) in next.iter().enumerate() {
-        a[i][j] = 1.0;
-    }
-    a[3][3] = 1.0;
-    let mut b = vec![vec![0.001; m]; m];
-    for (i, row) in b.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
-    let pi = vec![1.0; m];
-    let mut hmm = Hmm::from_rows(a, b, pi);
-    hmm.smooth(1e-4);
-    let mut call_callers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for name in ["a", "b", "c_Q7"] {
-        call_callers
-            .entry(name.to_string())
-            .or_default()
-            .insert("main".to_string());
-    }
-    Profile {
-        app_name: app.into(),
-        alphabet,
-        hmm,
-        window: 3,
-        threshold,
-        call_callers,
-        labeled_outputs: vec!["c_Q7".to_string()],
-    }
-}
-
-/// One random session trace: 1–11 calls drawn from the alphabet plus an
-/// out-of-vocabulary name, some issued by an untrained caller.
-fn arb_trace() -> impl Strategy<Value = Vec<CallEvent>> {
-    const NAMES: [&str; 4] = ["a", "b", "c_Q7", "evil_exfil"];
-    prop::collection::vec((0usize..NAMES.len(), any::<bool>()), 1..12).prop_map(|calls| {
-        calls
-            .into_iter()
-            .map(|(pick, attacker)| {
-                event(
-                    NAMES[pick],
-                    if attacker {
-                        "attacker_function"
-                    } else {
-                        "main"
-                    },
-                )
-            })
-            .collect()
-    })
-}
-
-/// Random multi-app session sets: 1–3 sessions each for two apps.
-fn arb_sessions() -> impl Strategy<Value = Vec<(String, String, Vec<CallEvent>)>> {
-    (
-        prop::collection::vec(arb_trace(), 1..4),
-        prop::collection::vec(arb_trace(), 1..4),
-    )
-        .prop_map(|(bank, shop)| {
-            let mut sessions = Vec::new();
-            for (i, trace) in bank.into_iter().enumerate() {
-                sessions.push(("bank".to_string(), format!("b-{i}"), trace));
-            }
-            for (i, trace) in shop.into_iter().enumerate() {
-                sessions.push(("shop".to_string(), format!("s-{i}"), trace));
-            }
-            sessions
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole contract. For every random interleaving, swap point,
-    /// scoring mode, and thread count ∈ {1, 4, 8}: each session's alerts
-    /// are bit-identical (Debug-formatted) to scanning its de-interleaved
-    /// trace with a standalone scorer over the profile epoch pinned at the
-    /// session's first event — epoch 1 for sessions opened before the
-    /// mid-stream hot-swap, epoch 2 after. The swapped-in epoch either
-    /// moves only the threshold or rewires the transition matrix, so a
-    /// window-score memo shared across epochs would show.
+    /// The tentpole contract, through the verdict oracle. For every random
+    /// interleaving, swap point, kernel, scoring mode and thread count
+    /// ∈ {1, 4, 8}, with queue bound 3 forcing many mid-stream flushes:
+    /// each session's alerts are bit-identical to scanning its
+    /// de-interleaved trace alone against the profile epoch pinned at its
+    /// first event — epoch 1 before the mid-stream hot-swap, epoch 2
+    /// after. The swapped-in epoch either moves only the threshold or
+    /// rewires the transition matrix, so a window-score memo shared across
+    /// epochs would show. Worker panics keyed by session arrival and queue
+    /// overflows every k-th event change no verdict.
     #[test]
     fn interleaved_runtime_matches_isolated_scans_across_threads_and_swap(
-        sessions in arb_sessions(),
+        sessions in arb_sessions(1..4),
         seed in any::<u64>(),
         swap_pct in 0usize..=100,
-        incremental in any::<bool>(),
         rewire in any::<bool>(),
+        panicked in prop::collection::vec(0u64..6, 1..3),
+        overflow_every in 1u64..8,
     ) {
         let stream = interleave(&sessions, seed);
-        let swap_at = stream.len() * swap_pct / 100;
-        let mode = if incremental { ScoringMode::Incremental } else { ScoringMode::ExactWindows };
-
-        let bank_v1 = cyclic_profile("bank", -5.0);
         let bank_v2 = if rewire {
             reversed_profile("bank", -5.0)
         } else {
             cyclic_profile("bank", 0.0) // flags everything
         };
-        let shop_v1 = cyclic_profile("shop", -1.0);
-
-        // Serial reference: each session scored in isolation against its
-        // pinned epoch's profile.
-        let expected: BTreeMap<(String, String), (u64, String)> = sessions
-            .iter()
-            .map(|(app, session, trace)| {
-                let first = stream
-                    .iter()
-                    .position(|t| t.app == *app && t.session == *session)
-                    .expect("session appears");
-                let (epoch, profile) = if app == "bank" && first >= swap_at {
-                    (2, &bank_v2)
-                } else if app == "bank" {
-                    (1, &bank_v1)
-                } else {
-                    (1, &shop_v1)
-                };
-                let scorer = WindowScorer::new(Arc::new(profile.clone()));
-                let alerts = match mode {
-                    ScoringMode::ExactWindows => scorer.scan(trace, session),
-                    ScoringMode::Incremental => scorer.scan_incremental(trace, session).0,
-                };
-                ((app.clone(), session.clone()), (epoch, format!("{alerts:?}")))
-            })
-            .collect();
-
-        for threads in [1usize, 4, 8] {
-            let registry = ProfileRegistry::new();
-            registry.register("bank", bank_v1.clone()).unwrap();
-            registry.register("shop", shop_v1.clone()).unwrap();
-            let profiles = Arc::new(registry);
-            let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
-                .with_threads(threads)
-                .with_config(RuntimeConfig {
-                    mode,
-                    queue_capacity: 3, // force many mid-stream flushes
-                    ..RuntimeConfig::default()
-                });
-            runtime.ingest_stream(&stream[..swap_at]);
-            profiles.register("bank", bank_v2.clone()).unwrap();
-            runtime.ingest_stream(&stream[swap_at..]);
-            let reports = runtime.finish();
-
-            prop_assert_eq!(reports.len(), sessions.len(), "threads {}", threads);
-            for report in &reports {
-                let (epoch, alerts) = &expected[&(report.app.clone(), report.session.clone())];
-                prop_assert_eq!(
-                    report.epoch, *epoch,
-                    "{}/{} pinned epoch (threads {})", report.app, report.session, threads
-                );
-                prop_assert_eq!(
-                    &format!("{:?}", report.alerts), alerts,
-                    "{}/{} alerts (threads {}, {:?})", report.app, report.session, threads, mode
-                );
-                prop_assert_eq!(&report.end, &SessionEnd::Finished);
-            }
-        }
+        let panics = FaultPlan::new(seed).inject(
+            sites::MONITOR_SWAP,
+            FaultKind::Panic,
+            Trigger::OnceForKeys(panicked.into_iter().collect()),
+        );
+        let overflows = FaultPlan::new(seed).inject(
+            sites::MONITOR_QUEUE_OVERFLOW,
+            FaultKind::QueueOverflow,
+            Trigger::EveryNth(overflow_every),
+        );
+        oracle::check(&Sweep {
+            profiles: &[
+                ("bank", cyclic_profile("bank", -5.0)),
+                ("shop", cyclic_profile("shop", -1.0)),
+            ],
+            stream: &stream,
+            swap: Some((stream.len() * swap_pct / 100, "bank", &bank_v2)),
+            shards: &[],
+            threads: &[1, 4, 8],
+            kernels: &[KernelConfig::Dense, KernelConfig::Sparse { sparse: SparseConfig::default() }],
+            modes: &[ScoringMode::ExactWindows, ScoringMode::Incremental],
+            queue_capacity: 3,
+            faults: &[FaultPlan::disabled(), panics, overflows],
+            forensics: &[false],
+            overloads: &[OverloadConfig::default()],
+        })?;
     }
 }
 
@@ -232,7 +95,7 @@ fn runtime_audit_sequence_is_deterministic_under_faults_and_threads() {
     /// (seq, app, session, epoch, flag) — the audit-visible identity of
     /// one record.
     type AuditRow = (u64, String, String, u64, String);
-    quiet_injected_panics();
+    oracle::quiet_injected_panics();
     let make_stream = || -> Vec<TaggedCall> {
         // Three sessions; threshold 0.0 flags every window, so every
         // window lands in the audit log.

@@ -1,71 +1,28 @@
 //! The sharded service's equivalence contract: the wire format
 //! round-trips bit-identically and survives any single-byte corruption
 //! with the damage quarantined to one frame; and a [`ShardedMonitor`] at
-//! any shard count {1, 2, 4, 8} and any per-shard thread count produces
-//! exactly the per-session verdicts of one unsharded [`MonitorRuntime`],
-//! merged in deterministic `(shard, arrival)` order — including across a
+//! any shard count {1, 2, 4, 8}, per-shard thread count and drive
+//! produces exactly the per-session verdicts of the serial scan, merged
+//! in deterministic `(shard, arrival)` order — including across a
 //! mid-stream cross-shard profile hot-swap. Framed ingest
 //! (`ingest_frames`) is pinned to the composition of the public pieces it
 //! replaces, on clean, defective, unknown-app and corrupted input.
 
+mod fixtures;
+mod oracle;
+
 use adprom::core::{
-    decode_frames, encode_stream, shard_for, MonitorRuntime, Profile, ProfileRegistry,
-    RuntimeConfig, ShardedMonitor,
+    decode_frames, encode_stream, FaultPlan, KernelConfig, OverloadConfig, ProfileRegistry,
+    RuntimeConfig, ScoringMode, ShardedMonitor,
 };
-use adprom::core::{Alphabet, ScoringMode};
 use adprom::core::{FrameDecoder, FrameIngest, IngestStatus, WireRecord};
-use adprom::hmm::Hmm;
-use adprom::lang::{CallSiteId, LibCall};
 use adprom::obs::Registry;
 use adprom::trace::TraceValidator;
 use adprom::trace::{interleave, CallEvent, TaggedCall};
+use fixtures::{arb_sessions, cyclic_profile, event};
+use oracle::Sweep;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-fn event(name: &str, caller: &str) -> CallEvent {
-    CallEvent {
-        name: name.into(),
-        call: LibCall::Printf,
-        caller: caller.into(),
-        site: CallSiteId(0),
-        detail: None,
-    }
-}
-
-/// The cyclic a→b→c toy profile from the runtime equivalence suite.
-fn cyclic_profile(app: &str, threshold: f64) -> Profile {
-    let alphabet = Alphabet::new(vec!["a".to_string(), "b".to_string(), "c_Q7".to_string()]);
-    let m = alphabet.len();
-    let mut a = vec![vec![0.001; m]; m];
-    a[0][1] = 1.0;
-    a[1][2] = 1.0;
-    a[2][0] = 1.0;
-    a[3][3] = 1.0;
-    let mut b = vec![vec![0.001; m]; m];
-    for (i, row) in b.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
-    let pi = vec![1.0; m];
-    let mut hmm = Hmm::from_rows(a, b, pi);
-    hmm.smooth(1e-4);
-    let mut call_callers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for name in ["a", "b", "c_Q7"] {
-        call_callers
-            .entry(name.to_string())
-            .or_default()
-            .insert("main".to_string());
-    }
-    Profile {
-        app_name: app.into(),
-        alphabet,
-        hmm,
-        window: 3,
-        threshold,
-        call_callers,
-        labeled_outputs: vec!["c_Q7".to_string()],
-    }
-}
 
 fn registry() -> Arc<ProfileRegistry> {
     let profiles = ProfileRegistry::new();
@@ -78,148 +35,42 @@ fn registry() -> Arc<ProfileRegistry> {
     Arc::new(profiles)
 }
 
-/// One random session trace: 1–11 calls drawn from the alphabet plus an
-/// out-of-vocabulary name, some issued by an untrained caller.
-fn arb_trace() -> impl Strategy<Value = Vec<CallEvent>> {
-    const NAMES: [&str; 4] = ["a", "b", "c_Q7", "evil_exfil"];
-    prop::collection::vec((0usize..NAMES.len(), any::<bool>()), 1..12).prop_map(|calls| {
-        calls
-            .into_iter()
-            .map(|(pick, attacker)| {
-                event(
-                    NAMES[pick],
-                    if attacker {
-                        "attacker_function"
-                    } else {
-                        "main"
-                    },
-                )
-            })
-            .collect()
-    })
-}
-
-/// Random multi-app session sets: 1–4 sessions each for two apps, enough
-/// ids that every shard count in {1, 2, 4, 8} gets populated sometimes.
-fn arb_sessions() -> impl Strategy<Value = Vec<(String, String, Vec<CallEvent>)>> {
-    (
-        prop::collection::vec(arb_trace(), 1..5),
-        prop::collection::vec(arb_trace(), 1..5),
-    )
-        .prop_map(|(bank, shop)| {
-            let mut sessions = Vec::new();
-            for (i, trace) in bank.into_iter().enumerate() {
-                sessions.push(("bank".to_string(), format!("b-{i}"), trace));
-            }
-            for (i, trace) in shop.into_iter().enumerate() {
-                sessions.push(("shop".to_string(), format!("s-{i}"), trace));
-            }
-            sessions
-        })
-}
-
-/// `(app, session) → (epoch, alerts)` from a finished monitor, plus the
-/// report order as a session-id sequence.
-type VerdictMap = BTreeMap<(String, String), (u64, String)>;
-
-fn verdicts(reports: Vec<adprom::core::SessionReport>) -> (VerdictMap, Vec<(String, String)>) {
-    let order: Vec<(String, String)> = reports
-        .iter()
-        .map(|r| (r.app.clone(), r.session.clone()))
-        .collect();
-    let map = reports
-        .into_iter()
-        .map(|r| ((r.app, r.session), (r.epoch, format!("{:?}", r.alerts))))
-        .collect();
-    (map, order)
-}
-
-/// The deterministic merge order the service promises: shard-major, and
-/// within a shard, session first-arrival order on that shard's substream.
-fn expected_order(stream: &[TaggedCall], shards: usize) -> Vec<(String, String)> {
-    let mut order = Vec::new();
-    for shard in 0..shards {
-        let mut seen = BTreeSet::new();
-        for tagged in stream {
-            if shard_for(&tagged.app, &tagged.session, shards) == shard
-                && seen.insert((tagged.app.clone(), tagged.session.clone()))
-            {
-                order.push((tagged.app.clone(), tagged.session.clone()));
-            }
-        }
-    }
-    order
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(
         std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(32)
     ))]
 
-    /// Satellite: shard-count invariance. At shards {1, 2, 4, 8} and
-    /// per-shard scoring threads {1, 4}, serial and partition-parallel
-    /// drives, the sharded service reports exactly the single-runtime
-    /// verdict per session — across a mid-stream hot-swap — and merges in
-    /// the promised deterministic order.
+    /// Shard-count invariance, through the verdict oracle. At shards
+    /// {1, 2, 4, 8} and per-shard scoring threads {1, 4}, under the
+    /// serial, partition-parallel and framed drives, in both scoring
+    /// modes, the sharded service reports exactly the verdict of scanning
+    /// each session alone — across a mid-stream hot-swap — and merges in
+    /// the promised shard-major order.
     #[test]
     fn sharded_service_matches_single_runtime(
-        sessions in arb_sessions(),
+        sessions in arb_sessions(1..5),
         seed in any::<u64>(),
         swap_pct in 0usize..=100,
     ) {
         let stream = interleave(&sessions, seed | 1);
-        let cut = stream.len() * swap_pct / 100;
-        let swap = swap_pct < 60; // sometimes no swap at all
-
-        // Unsharded baseline. Epoch pinning happens at ingest, so the
-        // bare register here is equivalent to the service's
-        // flush-then-publish barrier.
-        let config = RuntimeConfig {
-            mode: ScoringMode::Incremental,
-            ..RuntimeConfig::default()
-        };
-        let profiles = registry();
-        let mut single = MonitorRuntime::new(Arc::clone(&profiles)).with_config(config.clone());
-        single.ingest_stream(&stream[..cut]);
-        if swap {
-            profiles.register("bank", cyclic_profile("bank", 0.0)).unwrap();
-        }
-        single.ingest_stream(&stream[cut..]);
-        let (expected, _) = verdicts(single.finish());
-
-        for shards in [1usize, 2, 4, 8] {
-            for threads in [1usize, 4] {
-                for parallel in [false, true] {
-                    let mut service = ShardedMonitor::new(registry(), shards)
-                        .with_config(config.clone())
-                        .with_threads(threads);
-                    if parallel {
-                        service.ingest_stream_parallel(&stream[..cut]);
-                    } else {
-                        service.ingest_stream(&stream[..cut]);
-                    }
-                    if swap {
-                        service.swap_profile("bank", cyclic_profile("bank", 0.0)).unwrap();
-                    }
-                    if parallel {
-                        service.ingest_stream_parallel(&stream[cut..]);
-                    } else {
-                        service.ingest_stream(&stream[cut..]);
-                    }
-                    let (got, order) = verdicts(service.finish());
-                    prop_assert_eq!(
-                        &got, &expected,
-                        "verdict drift at shards={} threads={} parallel={}",
-                        shards, threads, parallel
-                    );
-                    prop_assert_eq!(
-                        &order, &expected_order(&stream, shards),
-                        "merge order drift at shards={} threads={} parallel={}",
-                        shards, threads, parallel
-                    );
-                }
-            }
-        }
+        let bank_v2 = cyclic_profile("bank", 0.0);
+        oracle::check(&Sweep {
+            profiles: &[
+                ("bank", cyclic_profile("bank", -5.0)),
+                ("shop", cyclic_profile("shop", -5.0)),
+            ],
+            stream: &stream,
+            // Sometimes no swap at all.
+            swap: (swap_pct < 60).then(|| (stream.len() * swap_pct / 100, "bank", &bank_v2)),
+            shards: &[1, 2, 4, 8],
+            threads: &[1, 4],
+            kernels: &[KernelConfig::Dense],
+            modes: &[ScoringMode::Incremental, ScoringMode::ExactWindows],
+            queue_capacity: RuntimeConfig::default().queue_capacity,
+            faults: &[FaultPlan::disabled()],
+            forensics: &[false],
+            overloads: &[OverloadConfig::default()],
+        })?;
     }
 
     /// Satellite: the wire format round-trips bit-identically — decoding
@@ -227,7 +78,7 @@ proptest! {
     /// reproduces the original buffer byte for byte.
     #[test]
     fn wire_roundtrip_is_bit_identical(
-        sessions in arb_sessions(),
+        sessions in arb_sessions(1..5),
         seed in any::<u64>(),
         batch in 1usize..9,
     ) {
@@ -249,7 +100,7 @@ proptest! {
     /// intact, so one bad frame never poisons the frames behind it.
     #[test]
     fn wire_single_byte_corruption_is_detected_and_contained(
-        sessions in arb_sessions(),
+        sessions in arb_sessions(1..5),
         seed in any::<u64>(),
         pos in any::<u64>(),
         flip in 1u8..=255,
@@ -352,7 +203,7 @@ proptest! {
     /// flipped byte, and queue bounds that force mid-frame flushes.
     #[test]
     fn framed_ingest_matches_the_composed_pieces(
-        sessions in arb_sessions(),
+        sessions in arb_sessions(1..5),
         seed in any::<u64>(),
         batch in 1usize..9,
         defect_at in (any::<u64>(), any::<u64>()),
