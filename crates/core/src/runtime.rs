@@ -444,8 +444,12 @@ impl MonitorRuntime {
         self
     }
 
-    /// Sizes the runtime's own rayon pool to exactly `threads` workers
-    /// (`0` restores the process default).
+    /// Splits each flush's scoring into `threads` chunks (`0` restores the
+    /// process default, `available_parallelism()` unless
+    /// `RAYON_NUM_THREADS` is set). The chunks run on the process's
+    /// resident rayon workers, `available_parallelism()` of them whatever
+    /// `threads` is, so no call starts a thread; verdicts, memo counts and
+    /// audit sequence numbers are the same at every `threads`.
     pub fn with_threads(mut self, threads: usize) -> MonitorRuntime {
         self.pool = (threads > 0).then(|| {
             ThreadPoolBuilder::new()

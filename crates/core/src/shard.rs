@@ -229,8 +229,9 @@ impl ShardedMonitor {
         self
     }
 
-    /// Sizes every shard's scoring pool to `threads` workers (`0` shares
-    /// the process-default rayon pool).
+    /// Splits every shard's flush scoring into `threads` chunks (`0` keeps
+    /// the process default), as [`MonitorRuntime::with_threads`] does; the
+    /// chunks of all shards run on the process's one resident rayon pool.
     pub fn with_threads(mut self, threads: usize) -> ShardedMonitor {
         self.shards = self
             .shards

@@ -15,7 +15,7 @@
 
 use crate::forensics::ForensicReport;
 use crate::registry::{Counter, Gauge, Registry};
-use serde::{de_field, de_field_opt, Content, DeError, Deserialize, Serialize};
+use serde::{de_field, de_field_opt, Content, DeError, Deserialize};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -69,42 +69,12 @@ pub struct AuditRecord {
     pub escalation: Option<String>,
 }
 
-// Serialization is hand-written (the derive stand-in has no
+// The JSONL line is written in one pass by `write_jsonl`; parsing goes
+// through serde and is hand-written (the derive stand-in has no
 // `#[serde(default)]`): `forensics` and the tier-provenance fields are
-// emitted only when present and parsed leniently, every other field
-// exactly as the derive would. Fields are looked up by name and unknown
-// keys are ignored, so lines from older writers still parse.
-impl Serialize for AuditRecord {
-    fn serialize(&self) -> Content {
-        let mut map: Vec<(Content, Content)> = Vec::with_capacity(16);
-        let mut push = |name: &str, value: Content| {
-            map.push((Content::Str(name.to_string()), value));
-        };
-        push("seq", self.seq.serialize());
-        push("app", self.app.serialize());
-        push("session", self.session.serialize());
-        push("epoch", self.epoch.serialize());
-        push("flag", self.flag.serialize());
-        push("window", self.window.serialize());
-        push("log_likelihood", self.log_likelihood.serialize());
-        push("threshold", self.threshold.serialize());
-        push("detail", self.detail.serialize());
-        push("kernel", self.kernel.serialize());
-        push("label", self.label.serialize());
-        push("bid", self.bid.serialize());
-        if let Some(forensics) = &self.forensics {
-            push("forensics", forensics.serialize());
-        }
-        if let Some(tier) = &self.tier {
-            push("tier", tier.serialize());
-        }
-        if let Some(escalation) = &self.escalation {
-            push("escalation", escalation.serialize());
-        }
-        Content::Map(map)
-    }
-}
-
+// parsed leniently, every other field exactly as the derive would. Fields
+// are looked up by name and unknown keys are ignored, so lines from older
+// writers still parse.
 impl Deserialize for AuditRecord {
     fn deserialize(v: &Content) -> Result<AuditRecord, DeError> {
         let map = v
@@ -131,14 +101,137 @@ impl Deserialize for AuditRecord {
 }
 
 impl AuditRecord {
+    /// Appends this record's compact JSONL line (no trailing newline) to
+    /// `out` in one pass.
+    ///
+    /// The writer owns the line's format: keys in declaration order, with
+    /// `forensics`, `tier` and `escalation` omitted when `None` and every
+    /// other field always present (`label`/`bid` as `null`). Strings are
+    /// escaped and floats rendered exactly as the `serde_json` stand-in
+    /// does — shortest round-trip digits with a `.0` marker on integral
+    /// values, `null` for NaN and ±inf — so the line parses back through
+    /// [`from_jsonl`](AuditRecord::from_jsonl). A record without forensics
+    /// allocates nothing beyond `out`'s growth.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"seq\":");
+        write_u64(out, self.seq);
+        out.extend_from_slice(b",\"app\":");
+        write_str(out, &self.app);
+        out.extend_from_slice(b",\"session\":");
+        write_str(out, &self.session);
+        out.extend_from_slice(b",\"epoch\":");
+        write_u64(out, self.epoch);
+        out.extend_from_slice(b",\"flag\":");
+        write_str(out, &self.flag);
+        out.extend_from_slice(b",\"window\":[");
+        for (i, call) in self.window.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            write_str(out, call);
+        }
+        out.extend_from_slice(b"],\"log_likelihood\":");
+        write_f64(out, self.log_likelihood);
+        out.extend_from_slice(b",\"threshold\":");
+        write_f64(out, self.threshold);
+        out.extend_from_slice(b",\"detail\":");
+        write_str(out, &self.detail);
+        out.extend_from_slice(b",\"kernel\":");
+        write_str(out, &self.kernel);
+        out.extend_from_slice(b",\"label\":");
+        write_opt_str(out, self.label.as_deref());
+        out.extend_from_slice(b",\"bid\":");
+        write_opt_str(out, self.bid.as_deref());
+        if let Some(forensics) = &self.forensics {
+            // Only alarms of flight-recorded sessions carry a report, so
+            // it keeps its derived serialization.
+            let report = serde_json::to_string(forensics).expect("forensic report serializes");
+            out.extend_from_slice(b",\"forensics\":");
+            out.extend_from_slice(report.as_bytes());
+        }
+        if let Some(tier) = &self.tier {
+            out.extend_from_slice(b",\"tier\":");
+            write_str(out, tier);
+        }
+        if let Some(escalation) = &self.escalation {
+            out.extend_from_slice(b",\"escalation\":");
+            write_str(out, escalation);
+        }
+        out.push(b'}');
+    }
+
     /// Serializes to one compact JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        serde_json::to_string(self).expect("audit record serializes")
+        let mut out = Vec::with_capacity(LINE_CAPACITY);
+        self.write_jsonl(&mut out);
+        String::from_utf8(out).expect("the JSONL writer emits UTF-8")
     }
 
     /// Parses a record back from a JSONL line.
     pub fn from_jsonl(line: &str) -> Result<AuditRecord, serde_json::Error> {
         serde_json::from_str(line.trim())
+    }
+}
+
+/// Starting capacity of a one-off line buffer: a DataLeak record over a
+/// 15-call window is about 500 bytes.
+const LINE_CAPACITY: usize = 640;
+
+/// Lowercase hex digits, for `\u00XX` escapes and frame prefixes.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+fn write_u64(out: &mut Vec<u8>, value: u64) {
+    write!(out, "{value}").expect("writing to a Vec cannot fail");
+}
+
+/// Shortest round-trip digits, with `.0` appended when they read as an
+/// integer so the value parses back as a float; `null` for NaN and ±inf.
+fn write_f64(out: &mut Vec<u8>, value: f64) {
+    if !value.is_finite() {
+        out.extend_from_slice(b"null");
+        return;
+    }
+    let start = out.len();
+    write!(out, "{value}").expect("writing to a Vec cannot fail");
+    if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.extend_from_slice(b".0");
+    }
+}
+
+/// A JSON string: `"` and `\\` backslash-escaped, `\n`, `\r`, `\t` by name,
+/// other control characters as `\u00XX`, everything else (non-ASCII
+/// included) copied as UTF-8.
+fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let unicode: [u8; 6];
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1F => {
+                let (hi, lo) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xF)]);
+                unicode = [b'\\', b'u', b'0', b'0', hi, lo];
+                &unicode
+            }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[copied..i]);
+        out.extend_from_slice(escape);
+        copied = i + 1;
+    }
+    out.extend_from_slice(&bytes[copied..]);
+    out.push(b'"');
+}
+
+fn write_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
+    match s {
+        Some(s) => write_str(out, s),
+        None => out.extend_from_slice(b"null"),
     }
 }
 
@@ -215,10 +308,13 @@ impl<W: Write + Send> JsonlAuditSink<W> {
 
 impl<W: Write + Send> AuditSink for JsonlAuditSink<W> {
     fn append(&self, record: &AuditRecord) {
+        let mut line = Vec::with_capacity(LINE_CAPACITY);
+        record.write_jsonl(&mut line);
+        line.push(b'\n');
         let mut writer = self.writer.lock().expect("audit writer poisoned");
         // Audit writes are best-effort: a full disk must not take the
         // detector down with it.
-        let _ = writeln!(writer, "{}", record.to_jsonl());
+        let _ = writer.write_all(&line);
     }
 }
 
@@ -322,14 +418,37 @@ pub struct RecoveryReport {
 /// payload length, a space, 8 hex digits of CRC-32, a space.
 const FRAME_PREFIX: usize = 18;
 
+/// Writes one length-prefixed, CRC-checked line into `frame`, replacing
+/// its contents: the `llllllll cccccccc ` prefix, the JSONL payload that
+/// `write_payload` appends, and `\n`. The payload is written once, in
+/// place; the prefix is filled in after it.
+fn frame_into(frame: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    frame.clear();
+    frame.resize(FRAME_PREFIX, b' ');
+    write_payload(frame);
+    let payload = &frame[FRAME_PREFIX..];
+    let len = u32::try_from(payload.len()).expect("an audit record is shorter than 4 GiB");
+    let crc = crc32(payload);
+    put_hex(&mut frame[0..8], len);
+    put_hex(&mut frame[9..17], crc);
+    frame.push(b'\n');
+}
+
+/// `value` as eight lowercase hex digits, as `{:08x}` renders it.
+fn put_hex(digits: &mut [u8], value: u32) {
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = HEX[(value >> (28 - 4 * i)) as usize & 0xF];
+    }
+}
+
 /// Frames one JSONL payload as a length-prefixed, CRC-checked line.
+#[cfg(test)]
 fn frame_record(json: &str) -> String {
-    format!(
-        "{:08x} {:08x} {}\n",
-        json.len(),
-        crc32(json.as_bytes()),
-        json
-    )
+    let mut frame = Vec::new();
+    frame_into(&mut frame, |payload| {
+        payload.extend_from_slice(json.as_bytes())
+    });
+    String::from_utf8(frame).expect("a framed UTF-8 payload is UTF-8")
 }
 
 /// Validates one framed line (without its trailing `\n`). Returns the
@@ -379,6 +498,8 @@ pub struct DurableAuditSink {
 struct DurableState {
     writer: BufWriter<File>,
     bytes: u64,
+    /// The frame being appended, kept so a warm append allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl DurableAuditSink {
@@ -402,6 +523,7 @@ impl DurableAuditSink {
             state: Mutex::new(DurableState {
                 writer: BufWriter::new(file),
                 bytes,
+                frame: Vec::with_capacity(LINE_CAPACITY),
             }),
             write_errors: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
@@ -547,14 +669,15 @@ fn scan_valid_prefix(data: &[u8]) -> (u64, usize) {
 
 impl AuditSink for DurableAuditSink {
     fn append(&self, record: &AuditRecord) {
-        let framed = frame_record(&record.to_jsonl());
-        let mut state = self.state.lock().expect("audit state poisoned");
+        let mut guard = self.state.lock().expect("audit state poisoned");
+        let state = &mut *guard;
+        frame_into(&mut state.frame, |payload| record.write_jsonl(payload));
         // Best-effort, like JsonlAuditSink — but each frame is flushed so
         // a crash can tear at most the final record, which the recovery
         // scan then truncates.
         let ok = state
             .writer
-            .write_all(framed.as_bytes())
+            .write_all(&state.frame)
             .and_then(|()| state.writer.flush())
             .is_ok();
         if !ok {
@@ -562,10 +685,10 @@ impl AuditSink for DurableAuditSink {
             self.m_write_errors.inc();
             return;
         }
-        state.bytes += framed.len() as u64;
+        state.bytes += state.frame.len() as u64;
         self.m_wal_bytes.set(state.bytes as i64);
         if state.bytes > self.config.max_file_bytes {
-            if let Err(_e) = self.rotate(&mut state) {
+            if let Err(_e) = self.rotate(state) {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
                 self.m_write_errors.inc();
             }
@@ -624,6 +747,153 @@ impl AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use serde::Serialize;
+
+    // The serde rendering the single-pass writer replaced, kept as the
+    // oracle its lines must equal byte for byte.
+    impl Serialize for AuditRecord {
+        fn serialize(&self) -> Content {
+            let mut map: Vec<(Content, Content)> = Vec::with_capacity(16);
+            let mut push = |name: &str, value: Content| {
+                map.push((Content::Str(name.to_string()), value));
+            };
+            push("seq", self.seq.serialize());
+            push("app", self.app.serialize());
+            push("session", self.session.serialize());
+            push("epoch", self.epoch.serialize());
+            push("flag", self.flag.serialize());
+            push("window", self.window.serialize());
+            push("log_likelihood", self.log_likelihood.serialize());
+            push("threshold", self.threshold.serialize());
+            push("detail", self.detail.serialize());
+            push("kernel", self.kernel.serialize());
+            push("label", self.label.serialize());
+            push("bid", self.bid.serialize());
+            if let Some(forensics) = &self.forensics {
+                push("forensics", forensics.serialize());
+            }
+            if let Some(tier) = &self.tier {
+                push("tier", tier.serialize());
+            }
+            if let Some(escalation) = &self.escalation {
+                push("escalation", escalation.serialize());
+            }
+            Content::Map(map)
+        }
+    }
+
+    /// Characters of generated text: quotes, backslashes, the named
+    /// escapes, other control characters (DEL is not one), non-ASCII text
+    /// and plain ASCII.
+    const CHARS: [char; 19] = [
+        'a', 'Q', '_', '7', ' ', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1b}', '\u{1f}',
+        '\u{7f}', 'é', 'ß', '漢', '🦀',
+    ];
+
+    /// Integral, negative-zero, non-finite and extreme floats.
+    const FLOATS: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -42.0,
+        -42.5,
+        0.1,
+        1e21,
+        -1e-7,
+        123_456_789.0,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -30.000_000_000_000_004,
+    ];
+
+    /// Generates audit records whose every field varies independently.
+    struct Records;
+
+    impl Records {
+        fn text(rng: &mut proptest::TestRng) -> String {
+            prop::collection::vec(0..CHARS.len(), 0..12)
+                .prop_map(|ids| ids.into_iter().map(|i| CHARS[i]).collect())
+                .generate(rng)
+        }
+
+        fn float(rng: &mut proptest::TestRng) -> f64 {
+            (any::<bool>(), 0..FLOATS.len(), any::<f64>())
+                .prop_map(|(special, i, x)| if special { FLOATS[i] } else { x })
+                .generate(rng)
+        }
+
+        fn maybe<T>(
+            rng: &mut proptest::TestRng,
+            make: impl FnOnce(&mut proptest::TestRng) -> T,
+        ) -> Option<T> {
+            any::<bool>().generate(rng).then(|| make(rng))
+        }
+    }
+
+    impl Strategy for Records {
+        type Value = AuditRecord;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> AuditRecord {
+            use crate::forensics::{DeviantTransition, WindowTrace};
+            let window_len = (0..16usize).generate(rng);
+            AuditRecord {
+                seq: any::<u64>().generate(rng),
+                app: Records::text(rng),
+                session: Records::text(rng),
+                epoch: any::<u64>().generate(rng),
+                flag: Records::text(rng),
+                window: (0..window_len).map(|_| Records::text(rng)).collect(),
+                log_likelihood: Records::float(rng),
+                threshold: Records::float(rng),
+                detail: Records::text(rng),
+                kernel: Records::text(rng),
+                label: Records::maybe(rng, Records::text),
+                bid: Records::maybe(rng, Records::text),
+                forensics: Records::maybe(rng, |rng| ForensicReport {
+                    mode: Records::text(rng),
+                    window_index: any::<u64>().generate(rng),
+                    attributed_log_likelihood: Records::float(rng),
+                    top_deviant: (0..(0..3usize).generate(rng))
+                        .map(|_| DeviantTransition {
+                            step: any::<usize>().generate(rng),
+                            call: Records::text(rng),
+                            from: Records::maybe(rng, Records::text),
+                            log_prob: Records::float(rng),
+                            deficit: Records::float(rng),
+                        })
+                        .collect(),
+                    recent_windows: (0..(0..3usize).generate(rng))
+                        .map(|_| WindowTrace {
+                            index: any::<u64>().generate(rng),
+                            log_likelihood: Records::float(rng),
+                            threshold: Records::float(rng),
+                            delta: Records::float(rng),
+                            flag: Records::text(rng),
+                        })
+                        .collect(),
+                }),
+                tier: Records::maybe(rng, Records::text),
+                escalation: Records::maybe(rng, Records::text),
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn single_pass_line_equals_the_serde_rendering(record in Records) {
+            let oracle = serde_json::to_string(&record).unwrap();
+            prop_assert_eq!(record.to_jsonl(), oracle.clone());
+            // Appending to a non-empty buffer writes the same bytes after it.
+            let mut out = b"prefix".to_vec();
+            record.write_jsonl(&mut out);
+            prop_assert_eq!(&out[6..], oracle.as_bytes());
+        }
+    }
 
     fn leak_record() -> AuditRecord {
         AuditRecord {

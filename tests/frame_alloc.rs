@@ -1,14 +1,18 @@
-//! Allocation pin for the framed ingest path: once a frame's sessions are
-//! live, `ShardedMonitor::ingest_frames` screens, routes and digests a
-//! clean 256-record frame straight from its bytes. The only allocation
-//! left is the decoder's record vector, so the whole frame must cost
-//! fewer than 8 heap allocations — not one or more per record.
+//! Allocation pins for the framed ingest path and the durable audit
+//! append. Once a frame's sessions are live,
+//! `ShardedMonitor::ingest_frames` screens, routes and digests a clean
+//! 256-record frame straight from its bytes. The only allocation left is
+//! the decoder's record vector, so the whole frame must cost fewer than 8
+//! heap allocations — not one or more per record. A warm
+//! `DurableAuditSink::append` writes its record's JSONL line and frame in
+//! place in the sink's own buffer, so it must allocate nothing at all.
 
 use adprom::core::{
     encode_frame, Alphabet, Profile, ProfileRegistry, RuntimeConfig, ShardedMonitor,
 };
 use adprom::hmm::Hmm;
 use adprom::lang::{CallSiteId, LibCall};
+use adprom::obs::{AuditRecord, AuditSink, DurableAuditSink};
 use adprom::trace::{CallEvent, TaggedCall};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -150,4 +154,45 @@ fn warm_clean_frame_ingests_with_fewer_than_8_allocations() {
         "re-ingesting a warm 256-record frame made {allocations} heap allocations"
     );
     assert_eq!(monitor.finish().len(), 32);
+}
+
+#[test]
+fn warm_durable_audit_append_makes_no_allocation() {
+    let dir = std::env::temp_dir().join(format!("adprom-frame-alloc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("audit.wal");
+    let _ = std::fs::remove_file(&path);
+    let (sink, _) = DurableAuditSink::open(&path).unwrap();
+    // A DataLeak alarm over a 15-call window, without forensics.
+    let record = AuditRecord {
+        seq: 41,
+        app: "bank".into(),
+        session: "teller-7".into(),
+        epoch: 3,
+        flag: "DATA-LEAK".into(),
+        window: (0..15).map(|i| format!("mysql_fetch_row_{i}")).collect(),
+        log_likelihood: -28.31,
+        threshold: -26.0,
+        detail: "anomalous sequence contains labeled output `printf_Q103`".into(),
+        kernel: "sparse".into(),
+        label: Some("printf_Q103".into()),
+        bid: Some("103".into()),
+        forensics: None,
+        tier: Some("full".into()),
+        escalation: None,
+    };
+
+    // Warm-up: grows the sink's frame buffer once.
+    sink.append(&record);
+    let (allocations, ()) = allocations_during(|| sink.append(&record));
+    assert_eq!(
+        allocations, 0,
+        "a warm durable audit append made {allocations} heap allocations"
+    );
+    assert_eq!(sink.write_errors(), 0);
+    assert_eq!(
+        DurableAuditSink::read_records(&path).unwrap(),
+        vec![record.clone(), record]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
