@@ -20,13 +20,20 @@ fn sparse_structured_hmm(n: usize, seed: u64) -> Hmm {
     hmm
 }
 
+/// One 15-call window through the dense forward step: the full α-table
+/// pass and the rolling `log_likelihood` the scorer calls on a memo miss.
+/// N = 33, 42 and 46 are the hospital, banking and supermarket profile
+/// sizes.
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward_window15");
-    for &n in &[16usize, 64, 256] {
+    for &n in &[16usize, 33, 42, 46, 64, 256] {
         let hmm = Hmm::random(n, n, 42);
         let obs = hmm.sample(15, 7);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("forward", n), &n, |b, _| {
             b.iter(|| black_box(forward(&hmm, black_box(&obs)).log_likelihood))
+        });
+        group.bench_with_input(BenchmarkId::new("log_likelihood", n), &n, |b, _| {
+            b.iter(|| black_box(log_likelihood(&hmm, black_box(&obs))))
         });
     }
     group.finish();

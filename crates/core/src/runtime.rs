@@ -444,10 +444,12 @@ impl MonitorRuntime {
         self
     }
 
-    /// Splits each flush's scoring into `threads` chunks (`0` restores the
-    /// process default, `available_parallelism()` unless
-    /// `RAYON_NUM_THREADS` is set). The chunks run on the process's
-    /// resident rayon workers, `available_parallelism()` of them whatever
+    /// Scores each flush's sessions on `threads` participants (`0`
+    /// restores the process default, `available_parallelism()` unless
+    /// `RAYON_NUM_THREADS` is set): the flushing thread plus `threads − 1`
+    /// helpers queued on the process's resident rayon workers, each taking
+    /// the next unscored session until none is left, so a flush ends when
+    /// its work does. The workers number `available_parallelism()` whatever
     /// `threads` is, so no call starts a thread; verdicts, memo counts and
     /// audit sequence numbers are the same at every `threads`.
     pub fn with_threads(mut self, threads: usize) -> MonitorRuntime {

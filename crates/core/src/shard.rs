@@ -29,8 +29,9 @@
 //! digested straight from the frame bytes, with no owned copy.
 //!
 //! [`ShardedMonitor::ingest_stream_parallel`] drives all shards from one
-//! pre-partitioned pass with one OS thread per shard — same per-shard
-//! event order as the serial path, therefore the same verdicts.
+//! pre-partitioned pass, mapping the shards over the resident rayon pool
+//! — same per-shard event order as the serial path, therefore the same
+//! verdicts.
 //!
 //! ## Control plane
 //!
@@ -58,6 +59,7 @@ use crate::wire::{FrameDecoder, FrameDefect, WireRecord};
 use crate::Profile;
 use adprom_obs::{Histogram, Registry, Tracer};
 use adprom_trace::{QuarantinedTrace, TaggedCall, TraceValidator};
+use rayon::prelude::*;
 use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Instant;
@@ -229,9 +231,9 @@ impl ShardedMonitor {
         self
     }
 
-    /// Splits every shard's flush scoring into `threads` chunks (`0` keeps
+    /// Scores every shard's flushes on `threads` participants (`0` keeps
     /// the process default), as [`MonitorRuntime::with_threads`] does; the
-    /// chunks of all shards run on the process's one resident rayon pool.
+    /// helpers of all shards run on the process's one resident rayon pool.
     pub fn with_threads(mut self, threads: usize) -> ShardedMonitor {
         self.shards = self
             .shards
@@ -348,30 +350,23 @@ impl ShardedMonitor {
     }
 
     /// Drives all shards concurrently: the stream is partitioned by the
-    /// routing hash, then one OS thread per shard replays that shard's
-    /// substream. Per-shard event order is identical to the serial
-    /// drive, so verdicts are too; only the tick interleaving *across*
-    /// shards differs, which no per-shard decision observes.
+    /// routing hash, then the shards are mapped over the resident rayon
+    /// pool, each replaying its own substream. Per-shard event order is
+    /// identical to the serial drive, so verdicts are too; only the tick
+    /// interleaving *across* shards differs, which no per-shard decision
+    /// observes.
     pub fn ingest_stream_parallel(&mut self, stream: &[TaggedCall]) {
         let n = self.shards.len();
         let mut parts: Vec<Vec<&TaggedCall>> = vec![Vec::new(); n];
         for tagged in stream {
             parts[shard_for(&tagged.app, &tagged.session, n)].push(tagged);
         }
-        let statuses: Vec<Vec<IngestStatus>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(&parts)
-                .map(|(shard, part)| {
-                    scope.spawn(move || part.iter().map(|t| shard.ingest(t)).collect())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread"))
-                .collect()
-        });
+        let drives: Vec<(&mut MonitorRuntime, Vec<&TaggedCall>)> =
+            self.shards.iter_mut().zip(parts).collect();
+        let statuses: Vec<Vec<IngestStatus>> = drives
+            .into_par_iter()
+            .map(|(shard, part)| part.into_iter().map(|t| shard.ingest(t)).collect())
+            .collect();
         for (shard, statuses) in statuses.into_iter().enumerate() {
             for status in statuses {
                 self.note(shard, status);

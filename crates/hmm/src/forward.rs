@@ -17,24 +17,83 @@ pub struct ForwardPass {
     pub log_likelihood: f64,
 }
 
-/// `cur[j] += prev_i * row[j]`, unrolled by 8. The per-element operation is
-/// exactly the scalar axpy the recursions always performed (independent
-/// elements, no reassociation), so results stay bit-identical while the
-/// chunked shape gives the autovectorizer straight-line packed
-/// multiply-adds (DESIGN.md §15 records the `--emit=asm` inspection).
-#[inline]
-pub(crate) fn axpy_row(cur: &mut [f64], row: &[f64], prev_i: f64) {
-    debug_assert_eq!(cur.len(), row.len());
-    let mut cur_c = cur.chunks_exact_mut(8);
-    let mut row_c = row.chunks_exact(8);
-    for (c8, a8) in cur_c.by_ref().zip(row_c.by_ref()) {
-        for (c, a_ij) in c8.iter_mut().zip(a8) {
-            *c += prev_i * a_ij;
+/// One dense forward-direction step, `cur[j] = Σ_i prev[i]·a_ij`: every
+/// dense recursion (`forward`, `log_likelihood`, `step_scores` and the
+/// dense branch of [`SlidingState::push`](crate::SlidingState::push))
+/// advances through it. `cur` is overwritten; both slices hold
+/// `hmm.n_states()` entries.
+///
+/// Columns go in blocks of 16, then at most one block of 8 and one of 4,
+/// then one column at a time. A block's sums stay in registers across the
+/// whole ascending-`i` sweep over A's rows, so each `a_ij` is loaded once
+/// and `cur` is written once per block. Each `cur[j]` still starts at
+/// `0.0` and adds `prev[i]·a_ij` for ascending `i`, skipping rows whose
+/// `prev[i]` is zero: the operations, and their order, of the row-by-row
+/// accumulation `cur[j] += prev[i]·a_ij`. Rust never contracts a multiply
+/// and an add into an FMA, so every result is bit-identical to that
+/// accumulation at any block width (DESIGN.md §15). On x86-64 an AVX2
+/// build of the same body is chosen at runtime.
+pub fn dense_step(hmm: &Hmm, prev: &[f64], cur: &mut [f64]) {
+    assert!(
+        prev.len() == hmm.n_states() && cur.len() == hmm.n_states(),
+        "state vectors sized for the model"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: only reached when the running CPU reports AVX2 support.
+        return unsafe { dense_step_avx2(hmm, prev, cur) };
+    }
+    dense_step_blocks(hmm, prev, cur);
+}
+
+/// AVX2-codegen clone of [`dense_step_blocks`] (the `#[inline(always)]`
+/// body recompiles with 256-bit registers; nothing else changes).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dense_step_avx2(hmm: &Hmm, prev: &[f64], cur: &mut [f64]) {
+    dense_step_blocks(hmm, prev, cur);
+}
+
+#[inline(always)]
+fn dense_step_blocks(hmm: &Hmm, prev: &[f64], cur: &mut [f64]) {
+    let n = prev.len();
+    let mut j = 0;
+    while j + 16 <= n {
+        dense_block::<16>(hmm, prev, j, cur);
+        j += 16;
+    }
+    if j + 8 <= n {
+        dense_block::<8>(hmm, prev, j, cur);
+        j += 8;
+    }
+    if j + 4 <= n {
+        dense_block::<4>(hmm, prev, j, cur);
+        j += 4;
+    }
+    while j < n {
+        dense_block::<1>(hmm, prev, j, cur);
+        j += 1;
+    }
+}
+
+/// Columns `j0..j0 + W` of [`dense_step`], summed in `W` registers.
+#[inline(always)]
+fn dense_block<const W: usize>(hmm: &Hmm, prev: &[f64], j0: usize, cur: &mut [f64]) {
+    let mut acc = [0.0f64; W];
+    for (row, &prev_i) in hmm.a_rows().zip(prev) {
+        if prev_i == 0.0 {
+            continue;
+        }
+        let cols: &[f64; W] = row[j0..j0 + W].try_into().expect("W columns");
+        for (sum, a_ij) in acc.iter_mut().zip(cols) {
+            *sum += prev_i * a_ij;
         }
     }
-    for (c, a_ij) in cur_c.into_remainder().iter_mut().zip(row_c.remainder()) {
-        *c += prev_i * a_ij;
-    }
+    cur[j0..j0 + W].copy_from_slice(&acc);
 }
 
 /// Runs the scaled forward algorithm. Panics in debug builds if symbols are
@@ -70,20 +129,13 @@ pub fn forward(hmm: &Hmm, obs: &[usize]) -> ForwardPass {
     }
     log_likelihood += sum.ln();
 
-    // t > 0. Accumulating with i outermost walks A row-by-row, which is
-    // sequential in the flat row-major layout.
+    // t > 0.
     for t in 1..t_len {
         let (prev, cur) = {
             let (a, b) = alpha.split_at_mut(t);
             (&a[t - 1], &mut b[0])
         };
-        for i in 0..n {
-            let prev_i = prev[i];
-            if prev_i == 0.0 {
-                continue;
-            }
-            axpy_row(cur, hmm.a_row(i), prev_i);
-        }
+        dense_step(hmm, prev, cur);
         let mut sum = 0.0;
         for (j, c) in cur.iter_mut().enumerate() {
             *c *= hmm.b(j, obs[t]);
@@ -168,16 +220,9 @@ fn rolling_forward(hmm: &Hmm, obs: &[usize], mut on_step: impl FnMut(f64)) -> f6
     log_likelihood += step;
     on_step(step);
 
-    // t > 0 — same i-outermost row accumulation as `forward`.
+    // t > 0 — the same step as `forward`.
     for t in 1..t_len {
-        cur.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..n {
-            let prev_i = prev[i];
-            if prev_i == 0.0 {
-                continue;
-            }
-            axpy_row(&mut cur, hmm.a_row(i), prev_i);
-        }
+        dense_step(hmm, &prev, &mut cur);
         let mut sum = 0.0;
         for (j, c) in cur.iter_mut().enumerate() {
             *c *= hmm.b(j, obs[t]);

@@ -39,8 +39,8 @@ pub use baumwelch::{
     mean_log_likelihood, reestimate, reestimate_with_config, train, TrainConfig, TrainReport,
 };
 pub use forward::{
-    backward, forward, log_likelihood, normalized_log_likelihood, step_scores, ForwardPass,
-    StepScores,
+    backward, dense_step, forward, log_likelihood, normalized_log_likelihood, step_scores,
+    ForwardPass, StepScores,
 };
 pub use model::{normalize, Hmm, HmmError};
 pub use sliding::{scan_scores, SlidingForward, SlidingState, SlidingStats};

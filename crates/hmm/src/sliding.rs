@@ -136,25 +136,14 @@ impl SlidingState {
     /// recurrence, it holds no reference to check against.
     pub fn push(&mut self, hmm: &Hmm, kernel: Option<&SparseTransitions>, symbol: usize) -> f64 {
         debug_assert_eq!(self.alpha.len(), hmm.n_states(), "state sized for model");
-        let n = hmm.n_states();
         let mut c = 0.0;
         if !self.dead {
             // One forward step from the running alpha: either the CSR
             // kernel's background-broadcast + deviation-scatter, or the
-            // dense i-outer accumulation that walks A row-by-row through
-            // the flat row-major storage.
+            // dense register-blocked step every dense recursion shares.
             match kernel {
                 Some(sp) => sp.propagate(&self.alpha, &mut self.scratch),
-                None => {
-                    self.scratch.iter_mut().for_each(|v| *v = 0.0);
-                    for i in 0..n {
-                        let alpha_i = self.alpha[i];
-                        if alpha_i == 0.0 {
-                            continue;
-                        }
-                        crate::forward::axpy_row(&mut self.scratch, hmm.a_row(i), alpha_i);
-                    }
-                }
+                None => crate::forward::dense_step(hmm, &self.alpha, &mut self.scratch),
             }
             for (j, acc) in self.scratch.iter_mut().enumerate() {
                 *acc *= hmm.b(j, symbol);

@@ -1,10 +1,11 @@
 //! Property tests: the scaled forward algorithm against brute-force
-//! enumeration, and distributional invariants of training.
+//! enumeration, the dense forward step against the row-wise accumulation
+//! it replaced, and distributional invariants of training.
 
 use adprom_hmm::{
-    backward, forward, forward_sparse, log_likelihood, log_likelihood_sparse, reestimate,
-    reestimate_with_config, scan_scores, train, viterbi, viterbi_sparse, Hmm, SlidingForward,
-    SparseConfig, SparseTransitions, TrainConfig,
+    backward, dense_step, forward, forward_sparse, log_likelihood, log_likelihood_sparse,
+    reestimate, reestimate_with_config, scan_scores, step_scores, train, viterbi, viterbi_sparse,
+    Hmm, SlidingForward, SlidingState, SparseConfig, SparseTransitions, TrainConfig,
 };
 use proptest::prelude::*;
 
@@ -75,8 +76,147 @@ fn enumerate_likelihood(hmm: &Hmm, obs: &[usize]) -> f64 {
     total
 }
 
+/// The row-by-row accumulation the dense recursions used before
+/// `dense_step`: `cur[j] += prev[i]·a_ij` one row of A at a time, rows
+/// whose `prev[i]` is zero skipped. The bit-identity properties hold
+/// `dense_step`, and every recursion built on it, to this reference.
+fn rowwise_step(hmm: &Hmm, prev: &[f64], cur: &mut [f64]) {
+    cur.fill(0.0);
+    for (i, &prev_i) in prev.iter().enumerate() {
+        if prev_i == 0.0 {
+            continue;
+        }
+        for (c, a_ij) in cur.iter_mut().zip(hmm.a_row(i)) {
+            *c += prev_i * a_ij;
+        }
+    }
+}
+
+/// The scaled forward pass over `rowwise_step`, op for op as `forward`
+/// computes it: the scaled α rows, the scale factors, the per-step
+/// `ln Σ_j ᾱ_t(j)` terms and their left-to-right sum. Smoothed models
+/// only (no step ever loses all its mass).
+fn rowwise_forward(hmm: &Hmm, obs: &[usize]) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, f64) {
+    let n = hmm.n_states();
+    let (mut alpha, mut scale, mut steps) = (Vec::<Vec<f64>>::new(), Vec::new(), Vec::new());
+    let mut total = 0.0f64;
+    for (t, &o) in obs.iter().enumerate() {
+        let mut cur = vec![0.0; n];
+        let mut sum = 0.0;
+        match alpha.last() {
+            None => {
+                for (j, c) in cur.iter_mut().enumerate() {
+                    *c = hmm.pi[j] * hmm.b(j, o);
+                    sum += *c;
+                }
+            }
+            Some(prev) => {
+                rowwise_step(hmm, prev, &mut cur);
+                for (j, c) in cur.iter_mut().enumerate() {
+                    *c *= hmm.b(j, o);
+                    sum += *c;
+                }
+            }
+        }
+        assert!(sum > 0.0, "smoothed model lost all mass at t={t}");
+        let c_t = 1.0 / sum;
+        cur.iter_mut().for_each(|v| *v *= c_t);
+        alpha.push(cur);
+        scale.push(c_t);
+        steps.push(sum.ln());
+        total += sum.ln();
+    }
+    (alpha, scale, steps, total)
+}
+
+/// A dense `SlidingState`'s window scores over `rowwise_step`: the same
+/// recurrence, and the same ring of `ln c_t` terms in the same slots, so
+/// each score sums the same values in the same order. Smoothed models
+/// only (the chain never re-anchors).
+fn rowwise_sliding(hmm: &Hmm, obs: &[usize], window: usize) -> Vec<f64> {
+    let n = hmm.n_states();
+    let (mut alpha, mut scratch) = (vec![0.0; n], vec![0.0; n]);
+    let mut ring: Vec<f64> = Vec::with_capacity(window);
+    let mut scores = Vec::with_capacity(obs.len());
+    for (t, &o) in obs.iter().enumerate() {
+        let mut c = 0.0;
+        if t == 0 {
+            for (j, acc) in scratch.iter_mut().enumerate() {
+                *acc = hmm.pi[j] * hmm.b(j, o);
+                c += *acc;
+            }
+        } else {
+            rowwise_step(hmm, &alpha, &mut scratch);
+            for (j, acc) in scratch.iter_mut().enumerate() {
+                *acc *= hmm.b(j, o);
+                c += *acc;
+            }
+        }
+        let inv = 1.0 / c;
+        for (dst, &src) in alpha.iter_mut().zip(&scratch) {
+            *dst = src * inv;
+        }
+        if ring.len() < window {
+            ring.push(c.ln());
+        } else {
+            ring[t % window] = c.ln();
+        }
+        scores.push(ring.iter().sum::<f64>());
+    }
+    scores
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `dense_step` is bit-identical to the row-wise accumulation at every
+    /// state count from 1 to 80 (so every 16/8/4/1 block tail), with about
+    /// half of `prev`'s entries zero.
+    #[test]
+    fn dense_step_is_bit_identical_to_the_rowwise_accumulation(
+        model_seed in any::<u64>(),
+        prev in prop::collection::vec((any::<bool>(), 0.0f64..1.0), 80..81),
+    ) {
+        let prev: Vec<f64> = prev.iter().map(|&(zero, v)| if zero { 0.0 } else { v }).collect();
+        for n in 1..=80usize {
+            let hmm = Hmm::random(n, 1, model_seed ^ n as u64);
+            let (mut blocked, mut rowwise) = (vec![f64::NAN; n], vec![0.0; n]);
+            dense_step(&hmm, &prev[..n], &mut blocked);
+            rowwise_step(&hmm, &prev[..n], &mut rowwise);
+            prop_assert_eq!(bits(&blocked), bits(&rowwise), "n = {}", n);
+        }
+    }
+
+    /// `forward`, `log_likelihood`, `step_scores` and a dense
+    /// `SlidingState` all score bit-identically to the same recursions
+    /// over the row-wise accumulation, on random smoothed models up to 48
+    /// states.
+    #[test]
+    fn dense_recursions_are_bit_identical_to_the_rowwise_accumulation(
+        hmm in arb_hmm(48, 6), seed in any::<u64>(), len in 1usize..40, window in 1usize..16,
+    ) {
+        let mut hmm = hmm;
+        hmm.smooth(1e-4);
+        let obs = hmm.sample(len, seed);
+        let (alpha, scale, steps, total) = rowwise_forward(&hmm, &obs);
+        let pass = forward(&hmm, &obs);
+        for (t, (got, want)) in pass.alpha.iter().zip(&alpha).enumerate() {
+            prop_assert_eq!(bits(got), bits(want), "forward alpha at t = {}", t);
+        }
+        prop_assert_eq!(bits(&pass.scale), bits(&scale));
+        prop_assert_eq!(pass.log_likelihood.to_bits(), total.to_bits());
+        prop_assert_eq!(log_likelihood(&hmm, &obs).to_bits(), total.to_bits());
+        let stepped = step_scores(&hmm, &obs);
+        prop_assert_eq!(bits(&stepped.steps), bits(&steps));
+        prop_assert_eq!(stepped.log_likelihood.to_bits(), total.to_bits());
+        let mut sliding = SlidingState::new(hmm.n_states(), window);
+        let scores: Vec<f64> = obs.iter().map(|&o| sliding.push(&hmm, None, o)).collect();
+        prop_assert_eq!(bits(&scores), bits(&rowwise_sliding(&hmm, &obs, window)));
+    }
 
     /// forward() must agree with full path enumeration on small models.
     #[test]
