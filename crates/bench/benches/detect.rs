@@ -3,8 +3,8 @@
 
 use adprom_analysis::analyze;
 use adprom_core::{
-    build_profile, ConstructorConfig, DetectionEngine, MonitorRuntime, Profile, ProfileRegistry,
-    RuntimeConfig, ScoringMode,
+    build_profile, ConstructorConfig, DetectionEngine, Profile, ProfileRegistry, RuntimeConfig,
+    ScoringMode, ShardedMonitor,
 };
 use adprom_trace::{CallEvent, TaggedCall};
 use adprom_workloads::hospital;
@@ -44,7 +44,7 @@ fn bench_detection(c: &mut Criterion) {
     });
 }
 
-/// Batch throughput: a serial engine loop vs the monitor runtime fed one
+/// Batch throughput: a serial engine loop vs the monitor fed one
 /// session per trace (one parallel flush at `finish`), in both scoring
 /// modes over the same multi-session batch.
 fn bench_batch(c: &mut Criterion) {
@@ -77,12 +77,13 @@ fn bench_batch(c: &mut Criterion) {
         })
         .collect();
     let run = |mode: ScoringMode| {
-        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles)).with_config(RuntimeConfig {
-            mode,
-            max_sessions: 0,
-            queue_capacity: 0,
-            ..RuntimeConfig::default()
-        });
+        let mut runtime =
+            ShardedMonitor::new(Arc::clone(&profiles), 1).with_config(RuntimeConfig {
+                mode,
+                max_sessions: 0,
+                queue_capacity: 0,
+                ..RuntimeConfig::default()
+            });
         runtime.ingest_stream(black_box(&stream));
         runtime.finish().len()
     };
@@ -152,7 +153,7 @@ fn bench_runtime_memo(c: &mut Criterion) {
     for (name, stream) in [("repeating", &repeating), ("distinct", &distinct)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut runtime = MonitorRuntime::new(Arc::clone(&profiles)).with_threads(1);
+                let mut runtime = ShardedMonitor::new(Arc::clone(&profiles), 1).with_threads(1);
                 runtime.ingest_stream(black_box(stream));
                 black_box(runtime.finish().len())
             })

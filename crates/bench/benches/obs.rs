@@ -8,7 +8,7 @@ use adprom_analysis::analyze;
 use adprom_core::resilience::sites;
 use adprom_core::{
     build_profile, trace_windows, ConstructorConfig, DetectionEngine, FailPoint, FaultKind,
-    FaultPlan, ForensicsConfig, MonitorRuntime, ProfileRegistry, RuntimeConfig, Trigger,
+    FaultPlan, ForensicsConfig, ProfileRegistry, RuntimeConfig, ShardedMonitor, Trigger,
 };
 use adprom_hmm::{score_windows_batch, F32Kernel, SparseConfig, SparseTransitions};
 use adprom_obs::Registry;
@@ -62,7 +62,7 @@ fn bench_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-/// Resilience overhead: the monitor runtime's guarded path over one
+/// Resilience overhead: the monitor's guarded path over one
 /// session (`catch_unwind`, fail points, retry bookkeeping, plus session
 /// admission and the serial commit) vs the plain engine scan of the same
 /// trace. The §11 contract: disabled fail points cost one branch — the
@@ -97,7 +97,7 @@ fn bench_resilience_overhead(c: &mut Criterion) {
     group.bench_function("scan_guarded", |b| {
         b.iter(|| {
             let mut runtime =
-                MonitorRuntime::new(Arc::clone(&profiles)).with_config(RuntimeConfig {
+                ShardedMonitor::new(Arc::clone(&profiles), 1).with_config(RuntimeConfig {
                     max_sessions: 0,
                     queue_capacity: 0,
                     ..RuntimeConfig::default()
@@ -127,7 +127,7 @@ fn bench_resilience_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Forensics overhead on the benign path: the monitor runtime over a
+/// Forensics overhead on the benign path: the monitor over a
 /// benign session stream with the flight recorder disarmed vs armed. The
 /// §14 contract: a benign session pays one null-pointer check per window,
 /// so `benign_armed` must track `benign_disarmed` within a few percent —
@@ -153,7 +153,7 @@ fn bench_forensics_overhead(c: &mut Criterion) {
     let stream = interleave(&sessions, 0xBE9);
 
     let run = |armed: bool| {
-        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles));
+        let mut runtime = ShardedMonitor::new(Arc::clone(&profiles), 1);
         if armed {
             runtime = runtime.with_forensics(ForensicsConfig::default());
         }

@@ -13,9 +13,10 @@
 //! 4. **Normal** — everything else.
 //!
 //! The whole-trace [`DetectionEngine`] is a thin shell over the shared
-//! scoring core, [`crate::scorer::WindowScorer`]; so is the
-//! session-multiplexed [`MonitorRuntime`](crate::runtime::MonitorRuntime),
-//! which also serves streaming (§IV-D online) monitoring. There is exactly
+//! scoring core, [`crate::scorer::WindowScorer`]; so is each
+//! session-multiplexed shard of
+//! [`ShardedMonitor`](crate::shard::ShardedMonitor), which serves
+//! streaming (§IV-D online) monitoring. There is exactly
 //! one forward-scoring / classification / observation path in the crate.
 
 use crate::profile::Profile;

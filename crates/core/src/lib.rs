@@ -14,13 +14,14 @@
 //! Detection phase (§IV-D): [`detect::DetectionEngine`] scores n-length
 //! call windows and raises the paper's four flags (Normal / Anomalous /
 //! DataLeak / OutOfContext). Streaming monitoring — one session or many —
-//! runs through [`runtime::MonitorRuntime`]: it demultiplexes an
-//! interleaved stream into per-session scorers, replays their buffered
-//! windows across a thread pool (deterministic, arrival-order output),
-//! scores each distinct exact-mode window once per profile epoch, and
-//! can score windows incrementally via
-//! [`SlidingForward`](adprom_hmm::SlidingForward); a batch of traces is
-//! that runtime fed one session per trace.
+//! runs through [`shard::ShardedMonitor`], the one public monitor: it
+//! routes an interleaved stream (pre-tagged or as wire frames) to N ≥ 1
+//! shards, each of which demultiplexes its share into per-session
+//! scorers, replays their buffered windows across the scoring pool
+//! (deterministic, arrival-order output), scores each distinct
+//! exact-mode window once per profile epoch, and can score windows
+//! incrementally via [`SlidingState`](adprom_hmm::SlidingState); a batch
+//! of traces is that monitor fed one session per trace.
 //!
 //! Baselines (§V): [`baselines::build_cmarkov`] (static init, no data-flow
 //! labels, no caller tracking) and [`baselines::build_rand_hmm`] (random
@@ -60,16 +61,10 @@ pub use resilience::{
     HealthMonitor, RetryPolicy, Trigger,
 };
 pub use runtime::{
-    fnv1a, IngestStatus, MonitorRuntime, OverloadConfig, RuntimeConfig, SessionEnd, SessionReport,
-    ShedPolicy,
+    IngestStatus, OverloadConfig, RuntimeConfig, SessionEnd, SessionReport, ShedPolicy,
 };
-pub use scorer::{
-    ForensicsConfig, KernelStatus, ScoringMode, ScoringTier, SessionScorer, WindowScorer,
-};
-pub use shard::{
-    shard_for, FrameIngest, ServiceCommand, ServiceResponse, ShardStatus, ShardTally,
-    ShardedMonitor,
-};
+pub use scorer::{ForensicsConfig, KernelStatus, ScoringMode, ScoringTier, WindowScorer};
+pub use shard::{shard_for, FrameIngest, ShardStatus, ShardTally, ShardedMonitor};
 pub use telemetry::{
     audit_record_from_alert, DetectMetrics, FrameMetrics, MonitorMetrics, RegistryMetrics,
     ResilienceMetrics, ShardMetrics,

@@ -7,10 +7,10 @@
 //! [`FaultPlan`] describes a deterministic, seedable set of faults —
 //! which [`FaultKind`] fires at which named site, for which keys — and
 //! arms into a [`FaultInjector`] handing out per-site [`FailPoint`]
-//! handles. The discipline mirrors the obs
-//! [`Registry`](adprom_obs::Registry): a handle from a disabled plan is a
-//! `None` and every probe costs a single branch, so fail points stay in
-//! hot paths permanently (benchmarked by `benches/obs.rs`).
+//! handles. The discipline mirrors the obs [`Registry`]: a handle from a
+//! disabled plan is a `None` and every probe costs a single branch, so
+//! fail points stay in hot paths permanently (benchmarked by
+//! `benches/obs.rs`).
 //!
 //! Decisions are keyed (by trace index, session arrival index or ingest
 //! tick), never by wall clock or thread interleaving, so a fault schedule
@@ -21,8 +21,8 @@
 //! [`HealthMonitor`] is the monotonic Healthy → Degraded → Failed state
 //! machine the pipeline surfaces through telemetry (`health.state`), and
 //! [`RetryPolicy`] bounds the per-session retry/backoff behavior of
-//! [`MonitorRuntime`](crate::runtime::MonitorRuntime) — the one
-//! panic-isolation path in the crate.
+//! each shard of [`ShardedMonitor`](crate::shard::ShardedMonitor) — the
+//! one panic-isolation path in the crate.
 
 use adprom_obs::{Gauge, Registry};
 use adprom_trace::CallEvent;
@@ -43,15 +43,16 @@ pub mod sites {
     /// Fail an audit/profile write with an I/O error (keyed by write
     /// ordinal, via [`FaultyWriter`](super::FaultyWriter)).
     pub const AUDIT_IO: &str = "audit.io_error";
-    /// Panic a [`MonitorRuntime`](crate::runtime::MonitorRuntime) session
-    /// worker mid-flush — exercises hot-swap-while-scoring (keyed by the
-    /// session's arrival index).
+    /// Panic a monitor shard's session worker mid-flush — exercises
+    /// hot-swap-while-scoring (keyed by the session's arrival index
+    /// within its shard).
     pub const MONITOR_SWAP: &str = "monitor.swap_mid_stream";
-    /// Force-evict the keyed session from the runtime's session table, as
-    /// if table pressure had reclaimed it (keyed by arrival index).
+    /// Force-evict the least-recently-active session from a shard's
+    /// session table, as if table pressure had reclaimed it (keyed by the
+    /// shard's ingest tick).
     pub const MONITOR_PRESSURE: &str = "monitor.session_pressure";
-    /// Treat the runtime's bounded ingest queue as full for the keyed
-    /// event (keyed by ingest tick) — exercises the backpressure/shed
+    /// Treat a shard's bounded ingest queue as full for the keyed
+    /// event (keyed by the shard's ingest tick) — exercises the backpressure/shed
     /// path without actually filling the queue.
     pub const MONITOR_QUEUE_OVERFLOW: &str = "monitor.queue_overflow";
 }
@@ -512,8 +513,8 @@ impl HealthMonitor {
     }
 }
 
-/// Bounded retry behavior for the per-session replays of
-/// [`MonitorRuntime`](crate::runtime::MonitorRuntime).
+/// Bounded retry behavior for the per-session replays of a monitor
+/// shard ([`ShardedMonitor::with_retry`](crate::shard::ShardedMonitor::with_retry)).
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Re-attempts after a panicked scoring pass (0 disables retry).

@@ -1,13 +1,18 @@
-//! Layer 3 of the detection stack: the session-multiplexed monitor.
+//! Layer 3 of the detection stack: the shard runtime.
 //!
 //! One deployed monitor watches many applications at once. Their
 //! collectors feed a single interleaved stream of
-//! [`TaggedCall`]s — `(app, session, event)` — and [`MonitorRuntime`]
-//! demultiplexes it into per-session [`SessionScorer`]s, resolving each
-//! session's profile through the [`ProfileRegistry`] (Layer 2) and scoring
-//! through the shared [`WindowScorer`] core (Layer 1).
+//! [`TaggedCall`](adprom_trace::TaggedCall)s — `(app, session, event)` —
+//! and [`ShardedMonitor`](crate::shard::ShardedMonitor) routes each event
+//! to one of its shards. A shard is the crate-private `MonitorRuntime`:
+//! it demultiplexes its share of the stream into per-session scorers,
+//! resolving each session's profile through the [`ProfileRegistry`]
+//! (Layer 2) and scoring through the shared [`WindowScorer`] core
+//! (Layer 1). This module holds the shard and the public types it
+//! reports through: [`RuntimeConfig`], [`OverloadConfig`],
+//! [`IngestStatus`] and [`SessionReport`].
 //!
-//! Guarantees, in decreasing order of importance:
+//! Guarantees, per shard, in decreasing order of importance:
 //!
 //! * **Interleaving-independence.** A session's alerts depend only on its
 //!   own events, in its own order — any interleaving of the stream yields
@@ -46,7 +51,6 @@ use crate::scorer::{
 use crate::telemetry::{audit_record_from_alert, DetectMetrics, MonitorMetrics, ResilienceMetrics};
 use crate::wire::WireRecord;
 use adprom_obs::{AuditLog, ForensicReport, Registry, SpanContext, Tracer};
-use adprom_trace::TaggedCall;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::HashMap;
@@ -60,7 +64,8 @@ use std::time::Instant;
 /// quality is irrelevant at this scale (hundreds of live sessions).
 /// Streaming: writing a key in pieces hashes exactly like writing it
 /// whole, which is how [`shard_for`](crate::shard::shard_for) hashes
-/// `app ‖ 0xFF ‖ session` without building the key.
+/// `app ‖ 0xFF ‖ session` without building the key, so routing and the
+/// in-shard index agree on one cheap function.
 #[derive(Debug)]
 pub(crate) struct Fnv(u64);
 
@@ -86,15 +91,6 @@ impl Hasher for Fnv {
 }
 
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
-
-/// FNV-1a over `bytes` — the same hash the live-session index uses.
-/// [`ShardedMonitor`](crate::shard::ShardedMonitor) partitions sessions
-/// with it so routing and the in-shard index agree on one cheap function.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::default();
-    h.write(bytes);
-    h.finish()
-}
 
 /// What replaying one session's buffered batch produced: the advanced
 /// scorer state, its window alerts and the window scores it adds to its
@@ -132,8 +128,8 @@ pub enum ShedPolicy {
     DropNewest,
 }
 
-/// Overload-control knobs of the [`MonitorRuntime`]: the hard ingest
-/// bound with its shed policy, and the risk-budget tier scheduler.
+/// Overload-control knobs of each shard: the hard ingest bound with its
+/// shed policy, and the risk-budget tier scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadConfig {
     /// Hard buffered-event bound, enforced *before* buffering: an event
@@ -184,9 +180,10 @@ pub enum IngestStatus {
     UnknownApp,
 }
 
-/// Knobs of the [`MonitorRuntime`]. Defaults suit tests and moderate
-/// deployments; production monitors size `max_sessions` to their memory
-/// budget and `queue_capacity` to their flush latency target.
+/// Knobs of each shard of a [`ShardedMonitor`](crate::shard::ShardedMonitor).
+/// Defaults suit tests and moderate deployments; production monitors
+/// size `max_sessions` to their memory budget and `queue_capacity` to
+/// their flush latency target.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// How per-session windows are scored (exact π-anchored recompute, or
@@ -199,8 +196,9 @@ pub struct RuntimeConfig {
     /// finalized at the next flush boundary (`0` = never).
     pub idle_timeout: u64,
     /// Buffered-event bound; reaching it triggers a flush through the
-    /// scoring pool (`0` = flush only on [`MonitorRuntime::flush`] /
-    /// [`MonitorRuntime::finish`]).
+    /// scoring pool (`0` = flush only on
+    /// [`ShardedMonitor::flush_all`](crate::shard::ShardedMonitor::flush_all)
+    /// / [`ShardedMonitor::finish`](crate::shard::ShardedMonitor::finish)).
     pub queue_capacity: usize,
     /// Overload control: the hard ingest bound, shed policy, and the
     /// risk-budget tier scheduler (disarmed by default).
@@ -222,7 +220,9 @@ impl Default for RuntimeConfig {
 /// Why a session's report was closed out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionEnd {
-    /// Closed by [`MonitorRuntime::finish`] — the stream ended.
+    /// Closed by
+    /// [`ShardedMonitor::finish`](crate::shard::ShardedMonitor::finish) —
+    /// the stream ended.
     Finished,
     /// Finalized by the idle timeout.
     IdleEvicted,
@@ -235,8 +235,9 @@ pub enum SessionEnd {
 }
 
 /// The monitoring outcome of one session: identity, the profile epoch it
-/// was pinned to, its alerts, and how it ended. [`MonitorRuntime::finish`]
-/// returns reports in session arrival order.
+/// was pinned to, its alerts, and how it ended.
+/// [`ShardedMonitor::finish`](crate::shard::ShardedMonitor::finish)
+/// returns them shard-major, in session arrival order within a shard.
 #[derive(Debug, Clone)]
 pub struct SessionReport {
     /// Application id.
@@ -244,7 +245,7 @@ pub struct SessionReport {
     /// Session id (unique within the app while live; a session reopened
     /// after eviction produces a second report).
     pub session: String,
-    /// Arrival index: the order sessions first appeared on the stream.
+    /// Arrival index: the order sessions first appeared on their shard.
     pub arrival: usize,
     /// The profile epoch every window of this session was scored against.
     pub epoch: u64,
@@ -305,11 +306,12 @@ struct SessionSlot {
     tiers: Vec<ScoringTier>,
 }
 
-/// The session-multiplexed monitor. Feed it an interleaved stream with
-/// [`MonitorRuntime::ingest`] / [`MonitorRuntime::ingest_stream`], then
-/// collect per-session reports with [`MonitorRuntime::finish`].
+/// One shard: the session-multiplexed monitor behind
+/// [`ShardedMonitor`](crate::shard::ShardedMonitor), fed one record at a
+/// time through [`MonitorRuntime::ingest_record`] and closed with
+/// [`MonitorRuntime::finish`].
 #[derive(Debug)]
-pub struct MonitorRuntime {
+pub(crate) struct MonitorRuntime {
     profiles: Arc<ProfileRegistry>,
     config: RuntimeConfig,
     slots: Vec<SessionSlot>,
@@ -344,9 +346,7 @@ pub struct MonitorRuntime {
     /// Monotonic flush-batch id, stamped on score/commit/audit span
     /// contexts (0 until the first non-empty flush).
     flush_seq: u64,
-    /// Shard index stamped on every span context this runtime opens (0
-    /// for an unsharded monitor; set by
-    /// [`ShardedMonitor`](crate::shard::ShardedMonitor)).
+    /// Shard index stamped on every span context this runtime opens.
     shard_id: u32,
     /// Fail point `monitor.swap_mid_stream`: panic a flush worker, keyed
     /// by session arrival — proves a retry keeps scoring on the pinned
@@ -368,7 +368,7 @@ pub struct MonitorRuntime {
 impl MonitorRuntime {
     /// A runtime resolving profiles through `profiles`, with the default
     /// [`RuntimeConfig`].
-    pub fn new(profiles: Arc<ProfileRegistry>) -> MonitorRuntime {
+    pub(crate) fn new(profiles: Arc<ProfileRegistry>) -> MonitorRuntime {
         MonitorRuntime {
             profiles,
             config: RuntimeConfig::default(),
@@ -397,62 +397,42 @@ impl MonitorRuntime {
     }
 
     /// Replaces the configuration.
-    pub fn with_config(mut self, config: RuntimeConfig) -> MonitorRuntime {
+    pub(crate) fn with_config(mut self, config: RuntimeConfig) -> MonitorRuntime {
         self.config = config;
         self
     }
 
     /// Registers metric handles (`monitor.*`, the per-window `detect.*`
     /// family, and `resilience.*`) against `registry`.
-    pub fn with_registry(mut self, registry: &Registry) -> MonitorRuntime {
+    pub(crate) fn with_registry(mut self, registry: &Registry) -> MonitorRuntime {
         self.metrics = MonitorMetrics::from_registry(registry);
         self.detect_metrics = DetectMetrics::from_registry(registry);
         self.res_metrics = ResilienceMetrics::from_registry(registry);
         self
     }
 
-    /// Routes every alarm to `audit`, each record stamped with the
-    /// session's app id and pinned profile epoch. Records are written
-    /// serially at commit points, so sequence numbers are deterministic at
-    /// any thread count and under retry.
-    pub fn with_audit(mut self, audit: Arc<AuditLog>) -> MonitorRuntime {
+    /// Routes every alarm to `audit`, written serially at commit points.
+    pub(crate) fn with_audit(mut self, audit: Arc<AuditLog>) -> MonitorRuntime {
         self.audit = Some(audit);
         self
     }
 
-    /// Arms a flight recorder on every session: each scored window's
-    /// score/threshold/delta/flag lands in a bounded per-session ring, and
-    /// every alarm's audit record carries a
-    /// [`ForensicReport`] — the window's top-k most-deviant call
-    /// transitions (exact factors of the forward recursion that scores
-    /// it) plus the session's recent window-score series. Reports are
-    /// drained at the serial commit point, so — like verdicts and audit
-    /// sequence numbers — they are bit-identical at any thread count.
-    pub fn with_forensics(mut self, config: ForensicsConfig) -> MonitorRuntime {
+    /// Arms a flight recorder on every session; its reports are drained
+    /// at the serial commit point.
+    pub(crate) fn with_forensics(mut self, config: ForensicsConfig) -> MonitorRuntime {
         self.forensics = Some(config);
         self
     }
 
-    /// Traces the pipeline end to end: ingest, flush, per-session score,
-    /// commit, and audit stages open spans carrying a [`SpanContext`]
-    /// (app, session, pinned epoch, flush batch id), so one session's path
-    /// through the runtime can be reassembled from the span stream.
-    /// Ingest spans carry epoch 0 (the session's epoch is resolved at
-    /// admission, after the span opens).
-    pub fn with_tracer(mut self, tracer: Tracer) -> MonitorRuntime {
+    /// Opens a span per ingest, flush, session score, commit and audit.
+    pub(crate) fn with_tracer(mut self, tracer: Tracer) -> MonitorRuntime {
         self.tracer = tracer;
         self
     }
 
-    /// Scores each flush's sessions on `threads` participants (`0`
-    /// restores the process default, `available_parallelism()` unless
-    /// `RAYON_NUM_THREADS` is set): the flushing thread plus `threads − 1`
-    /// helpers queued on the process's resident rayon workers, each taking
-    /// the next unscored session until none is left, so a flush ends when
-    /// its work does. The workers number `available_parallelism()` whatever
-    /// `threads` is, so no call starts a thread; verdicts, memo counts and
-    /// audit sequence numbers are the same at every `threads`.
-    pub fn with_threads(mut self, threads: usize) -> MonitorRuntime {
+    /// Scores each flush's sessions on `threads` participants (`0` keeps
+    /// the process default).
+    pub(crate) fn with_threads(mut self, threads: usize) -> MonitorRuntime {
         self.pool = (threads > 0).then(|| {
             ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -464,13 +444,13 @@ impl MonitorRuntime {
 
     /// Stamps `shard` on every span context this runtime opens, so a
     /// sharded service's stage histograms can be filtered per shard.
-    pub fn with_shard_id(mut self, shard: u32) -> MonitorRuntime {
+    pub(crate) fn with_shard_id(mut self, shard: u32) -> MonitorRuntime {
         self.shard_id = shard;
         self
     }
 
     /// Replaces the per-session-batch retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> MonitorRuntime {
+    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> MonitorRuntime {
         self.retry = retry;
         self
     }
@@ -478,7 +458,7 @@ impl MonitorRuntime {
     /// Arms the runtime's fail points from an injector
     /// ([`sites::MONITOR_SWAP`], [`sites::MONITOR_PRESSURE`],
     /// [`sites::MONITOR_QUEUE_OVERFLOW`]).
-    pub fn with_faults(mut self, injector: &FaultInjector) -> MonitorRuntime {
+    pub(crate) fn with_faults(mut self, injector: &FaultInjector) -> MonitorRuntime {
         self.fault_swap = injector.point(sites::MONITOR_SWAP);
         self.fault_pressure = injector.point(sites::MONITOR_PRESSURE);
         self.fault_overflow = injector.point(sites::MONITOR_QUEUE_OVERFLOW);
@@ -486,30 +466,19 @@ impl MonitorRuntime {
     }
 
     /// Live sessions currently in the table.
-    pub fn sessions_active(&self) -> usize {
+    pub(crate) fn sessions_active(&self) -> usize {
         self.live.values().map(HashMap::len).sum()
     }
 
     /// Events buffered and not yet flushed through the scoring pool.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending_total
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// Ingests one tagged event and reports what the boundary did with it
-    /// — the explicit backpressure signal. Serial by design: admission,
+    /// Ingests one borrowed record and reports what the boundary did with
+    /// it — the explicit backpressure signal. Serial by design: admission,
     /// eviction, and backpressure decisions happen here, on the logical
     /// event clock, so they replay identically at any thread count.
-    pub fn ingest(&mut self, tagged: &TaggedCall) -> IngestStatus {
-        self.ingest_record(&WireRecord::from(tagged))
-    }
-
-    /// [`MonitorRuntime::ingest`] over a borrowed record — the one
-    /// per-record core behind pre-tagged and framed ingest alike.
     pub(crate) fn ingest_record(&mut self, record: &WireRecord<'_>) -> IngestStatus {
         self.metrics.events.inc();
         // The span borrows a clone of the tracer so the guard can outlive
@@ -527,13 +496,6 @@ impl MonitorRuntime {
                 },
             )
         });
-        self.ingest_inner(record)
-    }
-
-    /// The per-event hot path, with counter updates hoisted out so
-    /// [`MonitorRuntime::ingest_stream`] pays for them once per stream
-    /// rather than once per event.
-    fn ingest_inner(&mut self, record: &WireRecord<'_>) -> IngestStatus {
         let timer = self.metrics.stage_ingest_ns.is_enabled().then(Instant::now);
         let status = self.ingest_event(record);
         if let Some(t0) = timer {
@@ -626,23 +588,12 @@ impl MonitorRuntime {
         !state.tier_armed() || state.tier() == ScoringTier::Full
     }
 
-    /// Ingests a whole stream in order. Equivalent to calling
-    /// [`MonitorRuntime::ingest`] per event, but the `monitor.events`
-    /// counter settles once at the end of the stream instead of ticking
-    /// per event.
-    pub fn ingest_stream(&mut self, stream: &[TaggedCall]) {
-        self.metrics.events.add(stream.len() as u64);
-        for tagged in stream {
-            self.ingest_inner(&WireRecord::from(tagged));
-        }
-    }
-
     /// Scores every buffered event: idle sessions are finalized first,
     /// then the remaining per-session batches replay across the pool
     /// (each into a clone of its session state, committed serially in
     /// arrival order on success — a retried panic never double-pushes and
     /// never reorders the audit log).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if self.config.idle_timeout > 0 {
             let mut idle: Vec<usize> = self
                 .live
@@ -839,7 +790,7 @@ impl MonitorRuntime {
     /// live session, and returns one report per session slot, in arrival
     /// order — evicted and failed sessions included, with their `end`
     /// reason.
-    pub fn finish(mut self) -> Vec<SessionReport> {
+    pub(crate) fn finish(mut self) -> Vec<SessionReport> {
         self.flush();
         let mut live: Vec<usize> = self
             .live
@@ -1267,8 +1218,22 @@ mod tests {
     use crate::resilience::{FaultPlan, Health, Trigger};
     use adprom_hmm::Hmm;
     use adprom_lang::{CallSiteId, LibCall};
-    use adprom_trace::{interleave, CallEvent};
+    use adprom_trace::{interleave, CallEvent, TaggedCall};
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// The drives these tests feed a lone shard with: one tagged event,
+    /// or a whole stream in order.
+    impl MonitorRuntime {
+        fn ingest(&mut self, tagged: &TaggedCall) -> IngestStatus {
+            self.ingest_record(&WireRecord::from(tagged))
+        }
+
+        fn ingest_stream(&mut self, stream: &[TaggedCall]) {
+            for tagged in stream {
+                self.ingest(tagged);
+            }
+        }
+    }
 
     fn quiet_injected_panics() {
         static ONCE: std::sync::Once = std::sync::Once::new();

@@ -4,13 +4,13 @@
 //! [`Alert`]s — the `Arc`-shared [`Profile`], the resolved scoring kernel
 //! (dense or sparse CSR), the detection threshold, metric handles, and an
 //! optional audit log. [`DetectionEngine`](crate::detect::DetectionEngine)
-//! and [`MonitorRuntime`](crate::runtime::MonitorRuntime) are thin shells
-//! over it: every forward pass, every [`Flag::classify`] decision, and
-//! every metrics/audit observation in the crate funnels through this one
-//! type, so the two paths cannot drift apart.
+//! and the shards of [`ShardedMonitor`](crate::shard::ShardedMonitor) are
+//! thin shells over it: every forward pass, every [`Flag::classify`]
+//! decision, and every metrics/audit observation in the crate funnels
+//! through this one type, so the two paths cannot drift apart.
 //!
-//! [`SessionScorer`] is the streaming counterpart: the per-session state a
-//! multiplexing runtime keeps while events arrive in batches. It
+//! The crate-private `SessionScorer` is the streaming counterpart: the
+//! per-session state a shard keeps while events arrive in batches. It
 //! reproduces the batch scanners event-for-event — exact mode emits the
 //! same π-anchored window alerts as [`WindowScorer::scan`], incremental
 //! mode the same conditional [`SlidingState`] alerts as
@@ -48,9 +48,9 @@ pub enum ScoringMode {
 }
 
 /// Knobs of the per-session flight recorder (see
-/// [`SessionScorer::with_forensics`]). Defaults keep reports small enough
-/// to ride every audit record while still showing the score trajectory
-/// into an alarm.
+/// [`ShardedMonitor::with_forensics`](crate::shard::ShardedMonitor::with_forensics)).
+/// Defaults keep reports small enough to ride every audit record while
+/// still showing the score trajectory into an alarm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForensicsConfig {
     /// Bounded ring of recent window traces kept per session — the
@@ -824,9 +824,8 @@ impl WindowEvent {
 /// symbol sequence, one `u16` per call, → the log-likelihood the epoch's
 /// kernel computed for it. Keyed by the whole sequence, never a hash
 /// alone: a lookup compares every symbol, so a hit is the very `f64` a
-/// fresh pass returned. Only
-/// [`MonitorRuntime`](crate::runtime::MonitorRuntime) owns memos, one
-/// per pinned `(app, epoch)`.
+/// fresh pass returned. Only a monitor shard owns memos, one per pinned
+/// `(app, epoch)`.
 ///
 /// Open addressing over flat arrays: keys sit back to back in one arena
 /// and each slot holds `(hash, entry + 1)`, so an insert allocates
@@ -967,10 +966,10 @@ pub(crate) struct MemoDelta {
 }
 
 /// Tier-ladder state of one session, boxed inside [`SessionScorer`] so
-/// unarmed sessions (every scorer outside an overload-configured
-/// [`MonitorRuntime`](crate::runtime::MonitorRuntime)) pay one null
-/// pointer. Cloned with the scorer state, so a crash-isolated replay
-/// that is retried cannot double-count escalations or stamps.
+/// unarmed sessions (every scorer outside an overload-configured monitor)
+/// pay one null pointer. Cloned with the scorer state, so a
+/// crash-isolated replay that is retried cannot double-count escalations
+/// or stamps.
 #[derive(Debug, Clone)]
 struct TierState {
     /// Tier currently in force (scheduler-assigned or self-escalated).
@@ -1028,7 +1027,7 @@ struct FlightRecorder {
 /// the state, replays events into the clone, and commits it only on
 /// success, so a retried panic never double-pushes.
 #[derive(Debug, Clone)]
-pub struct SessionScorer {
+pub(crate) struct SessionScorer {
     mode: ScoringMode,
     window: usize,
     ring: VecDeque<WindowEvent>,
@@ -1042,7 +1041,7 @@ pub struct SessionScorer {
 impl SessionScorer {
     /// Creates streaming state compatible with `scorer`'s profile and
     /// kernel.
-    pub fn new(scorer: &WindowScorer, mode: ScoringMode) -> SessionScorer {
+    pub(crate) fn new(scorer: &WindowScorer, mode: ScoringMode) -> SessionScorer {
         let window = scorer.profile.window;
         let sliding = (mode == ScoringMode::Incremental)
             .then(|| SlidingState::new(scorer.profile.hmm.n_states(), window));
@@ -1071,7 +1070,7 @@ impl SessionScorer {
     /// the alert's score is conditional on session history, so the
     /// attribution is a separate π-anchored pass over the alarmed
     /// window's own calls — run only when a window alarms.
-    pub fn with_forensics(mut self, config: ForensicsConfig) -> SessionScorer {
+    pub(crate) fn with_forensics(mut self, config: ForensicsConfig) -> SessionScorer {
         self.flight = Some(Box::new(FlightRecorder {
             config,
             windows: VecDeque::with_capacity(config.flight_capacity.max(1)),
@@ -1081,14 +1080,9 @@ impl SessionScorer {
         self
     }
 
-    /// True when [`SessionScorer::with_forensics`] armed the recorder.
-    pub fn forensics_enabled(&self) -> bool {
-        self.flight.is_some()
-    }
-
     /// Drains the forensic reports built since the last drain, in alarm
     /// order (empty when forensics are disabled or no window alarmed).
-    pub fn take_forensics(&mut self) -> Vec<ForensicReport> {
+    pub(crate) fn take_forensics(&mut self) -> Vec<ForensicReport> {
         self.flight
             .as_mut()
             .map(|f| std::mem::take(&mut f.pending))
@@ -1101,7 +1095,7 @@ impl SessionScorer {
     /// (the ladder rides the sliding recurrence, which scores every
     /// window whether or not it emits). Must be called before the
     /// session is fed.
-    pub fn with_tier_support(mut self, spot_every: u32) -> SessionScorer {
+    pub(crate) fn with_tier_support(mut self, spot_every: u32) -> SessionScorer {
         if self.mode != ScoringMode::Incremental {
             return self;
         }
@@ -1125,7 +1119,7 @@ impl SessionScorer {
 
     /// The scoring tier in force ([`ScoringTier::Full`] when the ladder
     /// is unarmed).
-    pub fn tier(&self) -> ScoringTier {
+    pub(crate) fn tier(&self) -> ScoringTier {
         self.tier.as_deref().map_or(ScoringTier::Full, |t| t.tier)
     }
 
@@ -1158,14 +1152,15 @@ impl SessionScorer {
     }
 
     /// Self-escalations back to [`ScoringTier::Full`] so far.
-    pub fn escalations(&self) -> u32 {
+    pub(crate) fn escalations(&self) -> u32 {
         self.tier.as_deref().map_or(0, |t| t.escalations)
     }
 
     /// The verdict in force between spot checks — the last emitted
     /// window's flag, carried forward across skipped windows (`None`
     /// until a tier-armed session emits its first window).
-    pub fn carried_verdict(&self) -> Option<Flag> {
+    #[cfg(test)]
+    pub(crate) fn carried_verdict(&self) -> Option<Flag> {
         self.tier
             .as_deref()
             .filter(|t| t.margin.is_finite())
@@ -1182,12 +1177,12 @@ impl SessionScorer {
     }
 
     /// Events pushed so far.
-    pub fn seen(&self) -> usize {
+    pub(crate) fn seen(&self) -> usize {
         self.seen
     }
 
     /// Sliding-scorer accounting (incremental mode; zeroes otherwise).
-    pub fn stats(&self) -> SlidingStats {
+    pub(crate) fn stats(&self) -> SlidingStats {
         self.sliding
             .as_ref()
             .map(SlidingState::stats)
@@ -1303,7 +1298,7 @@ impl SessionScorer {
     /// Closes the session: a trace that never filled a full window emits
     /// its single short window now (matching the whole-trace scanners'
     /// `len ≤ n` branch); longer traces emit nothing further.
-    pub fn finalize(&mut self, scorer: &WindowScorer, session: &str) -> Option<Alert> {
+    pub(crate) fn finalize(&mut self, scorer: &WindowScorer, session: &str) -> Option<Alert> {
         if self.done {
             return None;
         }

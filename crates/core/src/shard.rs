@@ -1,19 +1,31 @@
-//! The sharded monitoring service: N [`MonitorRuntime`] shards behind one
-//! framed ingest boundary and an epoch-coherent control plane.
+//! The monitoring service: N shard runtimes behind one framed ingest
+//! boundary and an epoch-coherent control plane. [`ShardedMonitor`] is
+//! the crate's one public streaming monitor; one shard is the plain
+//! session-multiplexed monitor.
 //!
 //! ## Partitioning
 //!
-//! Sessions are partitioned by the same FNV-1a hash the runtime's
-//! live-session index uses ([`fnv1a`](crate::runtime::fnv1a) over
-//! `app`, a `0xFF` separator, then `session`), so every event of a
-//! session lands on one shard for the session's whole life. Each shard
-//! is a completely independent [`MonitorRuntime`]: its own serial ingest
-//! clock, its own bounded queue and
-//! [`OverloadConfig`](crate::runtime::OverloadConfig)
+//! Sessions are partitioned by [`shard_for`]: FNV-1a over `app`, a `0xFF`
+//! separator, then `session` — the hash the shards' live-session index
+//! uses — so every event of a session lands on one shard for the
+//! session's whole life. Each shard runs its own serial ingest clock,
+//! its own bounded queue and [`OverloadConfig`](crate::runtime::OverloadConfig)
 //! (backpressure and shedding are per-shard decisions, not global), and
-//! its own scoring pool — so each shard independently keeps the
-//! bit-identical-verdicts-at-any-thread-count guarantee, and the merged
-//! report stream is deterministic in `(shard, arrival)` order.
+//! scores its flushes on its own participant count — so each shard
+//! independently keeps the bit-identical-verdicts-at-any-thread-count
+//! guarantee, and the merged report stream is deterministic in
+//! `(shard, arrival)` order.
+//!
+//! Shards share what must be global: the [`ProfileRegistry`], one
+//! [`AuditLog`] ([`ShardedMonitor::with_audit`]) and one
+//! [`FaultInjector`] ([`ShardedMonitor::with_faults`]). Every shard is
+//! driven on the caller's thread and appends at its serial commit, so
+//! audit sequence numbers are the same at any thread count. Fail-point
+//! keys stay per shard (a session's arrival index within its shard, the
+//! shard's ingest tick); a trigger's state is shared, so
+//! [`Trigger::OnceForKeys`](crate::resilience::Trigger::OnceForKeys)
+//! fires a key once for the whole service, at the first shard that
+//! probes it.
 //!
 //! ## Ingest
 //!
@@ -28,38 +40,36 @@
 //! borrowed [`WireRecord`]: framed records are screened, routed and
 //! digested straight from the frame bytes, with no owned copy.
 //!
-//! [`ShardedMonitor::ingest_stream_parallel`] drives all shards from one
-//! pre-partitioned pass, mapping the shards over the resident rayon pool
-//! — same per-shard event order as the serial path, therefore the same
-//! verdicts.
-//!
 //! ## Control plane
 //!
-//! [`ShardedMonitor::control`] executes [`ServiceCommand`]s:
+//! Four methods:
 //!
-//! * `Swap` hot-swaps an application's profile across all shards behind
-//!   a *publish barrier*: every shard is flushed first (all buffered
-//!   windows score and commit against the epochs they are pinned to),
-//!   then the new epoch is published through the single shared
-//!   [`ProfileRegistry`] — one atomic pointer swap that every shard
-//!   observes at once. After the swap quiesces, no two shards can open a
-//!   session for the app at different epochs; sessions already in flight
-//!   keep scoring against their pinned epoch (first-event pinning), so a
-//!   session's windows are never split across epochs.
-//! * `Drain` flushes every shard's pending work through its scoring pool.
-//! * `Snapshot` reports per-shard [`ShardStatus`] (occupancy, queue
-//!   depth, ingest tallies, health).
-//! * `Health` rolls per-shard [`HealthMonitor`] states up to the worst.
+//! * [`ShardedMonitor::swap_profile`] hot-swaps an application's profile
+//!   across all shards behind a *publish barrier*: every shard is flushed
+//!   first (all buffered windows score and commit against the epochs
+//!   they are pinned to), then the new epoch is published through the
+//!   single shared [`ProfileRegistry`] — one atomic pointer swap that
+//!   every shard observes at once. After the swap quiesces, no two
+//!   shards can open a session for the app at different epochs; sessions
+//!   already in flight keep scoring against their pinned epoch
+//!   (first-event pinning), so a session's windows are never split
+//!   across epochs.
+//! * [`ShardedMonitor::flush_all`] flushes every shard's pending work
+//!   through its scoring participants.
+//! * [`ShardedMonitor::snapshot`] reports per-shard [`ShardStatus`]
+//!   (occupancy, queue depth, ingest tallies, health).
+//! * [`ShardedMonitor::health`] rolls per-shard [`HealthMonitor`] states
+//!   up to the worst.
 
 use crate::registry::{ProfileRegistry, SwapError};
-use crate::resilience::{Health, HealthMonitor};
+use crate::resilience::{FaultInjector, Health, HealthMonitor, RetryPolicy};
 use crate::runtime::{Fnv, IngestStatus, MonitorRuntime, RuntimeConfig, SessionEnd, SessionReport};
+use crate::scorer::ForensicsConfig;
 use crate::telemetry::{FrameMetrics, ShardMetrics};
 use crate::wire::{FrameDecoder, FrameDefect, WireRecord};
 use crate::Profile;
-use adprom_obs::{Histogram, Registry, Tracer};
+use adprom_obs::{AuditLog, Histogram, Registry, Tracer};
 use adprom_trace::{QuarantinedTrace, TaggedCall, TraceValidator};
-use rayon::prelude::*;
 use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,10 +78,13 @@ use std::time::Instant;
 /// pair, reduced modulo the shard count. Stable for the life of the
 /// deployment — resharding means draining and replaying.
 ///
-/// The hash streams over `app ‖ 0xFF ‖ session` —
-/// [`fnv1a`](crate::runtime::fnv1a) of that key, without building it —
-/// so routing allocates nothing.
+/// The hash streams over `app ‖ 0xFF ‖ session` — FNV-1a of that key,
+/// without building it — so routing allocates nothing. One shard takes
+/// every session without hashing.
 pub fn shard_for(app: &str, session: &str, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
     let mut hash = Fnv::default();
     hash.write(app.as_bytes());
     hash.write(&[0xFF]); // unambiguous separator: never appears in UTF-8
@@ -93,7 +106,7 @@ pub struct ShardTally {
     pub unknown_app: u64,
 }
 
-/// One shard's status row, as returned by the `Snapshot` command.
+/// One shard's status row, as returned by [`ShardedMonitor::snapshot`].
 #[derive(Debug, Clone)]
 pub struct ShardStatus {
     /// Shard index.
@@ -146,43 +159,9 @@ impl FrameIngest {
     }
 }
 
-/// Control-plane commands. See the module docs for semantics.
-#[derive(Debug)]
-pub enum ServiceCommand {
-    /// Hot-swap `app`'s profile across every shard behind the publish
-    /// barrier.
-    Swap {
-        /// Application whose profile is being replaced.
-        app: String,
-        /// The replacement profile (validated before publication).
-        profile: Box<Profile>,
-    },
-    /// Flush every shard's pending work through its scoring pool.
-    Drain,
-    /// Collect per-shard status rows.
-    Snapshot,
-    /// Roll per-shard health up to the worst state.
-    Health,
-}
-
-/// Control-plane responses, one variant per [`ServiceCommand`].
-#[derive(Debug)]
-pub enum ServiceResponse {
-    /// The swap published; every shard now opens sessions at `epoch`.
-    Swapped {
-        /// The new profile epoch.
-        epoch: u64,
-    },
-    /// All shards flushed.
-    Drained,
-    /// Per-shard status rows, shard-index order.
-    Snapshot(Vec<ShardStatus>),
-    /// Worst health across shards.
-    Health(Health),
-}
-
-/// N-shard monitoring service. Owns its shards; `finish` consumes the
-/// monitor and merges reports deterministically.
+/// The monitoring service: N shards (at least one) behind one ingest
+/// boundary. Owns its shards; `finish` consumes the monitor and merges
+/// reports deterministically.
 #[derive(Debug)]
 pub struct ShardedMonitor {
     shards: Vec<MonitorRuntime>,
@@ -218,62 +197,102 @@ impl ShardedMonitor {
         }
     }
 
+    /// Applies one `with_*` step to every shard.
+    fn each_shard(mut self, step: impl Fn(MonitorRuntime) -> MonitorRuntime) -> ShardedMonitor {
+        self.shards = self.shards.into_iter().map(step).collect();
+        self
+    }
+
     /// Applies `config` to every shard. Queue bounds and the overload
     /// config are per-shard: a capacity of `c` gives the service `N × c`
     /// aggregate buffering, and one hot shard backpressures or sheds
     /// without stalling its siblings.
-    pub fn with_config(mut self, config: RuntimeConfig) -> ShardedMonitor {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_config(config.clone()))
-            .collect();
-        self
+    pub fn with_config(self, config: RuntimeConfig) -> ShardedMonitor {
+        self.each_shard(|s| s.with_config(config.clone()))
     }
 
-    /// Scores every shard's flushes on `threads` participants (`0` keeps
-    /// the process default), as [`MonitorRuntime::with_threads`] does; the
-    /// helpers of all shards run on the process's one resident rayon pool.
-    pub fn with_threads(mut self, threads: usize) -> ShardedMonitor {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_threads(threads))
-            .collect();
-        self
+    /// Scores each shard's flushes on `threads` participants (`0`
+    /// restores the process default, `available_parallelism()` unless
+    /// `RAYON_NUM_THREADS` is set): the flushing thread plus `threads − 1`
+    /// helpers queued on the process's resident rayon workers, each taking
+    /// the next unscored session until none is left, so a flush ends when
+    /// its work does. The workers number `available_parallelism()` whatever
+    /// `threads` is, so no call starts a thread; verdicts, memo counts and
+    /// audit sequence numbers are the same at every `threads`.
+    pub fn with_threads(self, threads: usize) -> ShardedMonitor {
+        self.each_shard(|s| s.with_threads(threads))
     }
 
-    /// Registers service metrics: the per-shard
-    /// `monitor.shard.<i>.{ingested,backpressured,shed}` family, the
-    /// shared `monitor.*` handles inside every shard runtime (counters
-    /// aggregate across shards; gauges are last-writer), ingest screening
-    /// counters, the framed path's per-frame stage histograms
-    /// (`wire.decode_ns`, `ingest.screen_ns`, `shard.route_ns`), and
-    /// per-shard health gauges.
+    /// Registers service metrics against `registry`:
+    ///
+    /// * the per-shard `monitor.shard.<i>.{ingested,backpressured,shed}`
+    ///   family;
+    /// * the `monitor.*`, `detect.*` and `resilience.*` handles every
+    ///   shard shares. Counters and histograms sum over the shards, and so
+    ///   do the gauges `monitor.sessions.active` and
+    ///   `monitor.overload.active`, which move by deltas;
+    ///   `monitor.queue.depth` keeps the highest depth any shard reached,
+    ///   and `monitor.flush.batch_sessions` holds the last flush of any
+    ///   shard;
+    /// * the ingest screening counters and the framed path's per-frame
+    ///   stage histograms (`wire.decode_ns`, `ingest.screen_ns`,
+    ///   `shard.route_ns`).
+    ///
+    /// Shard health is read through [`ShardedMonitor::snapshot`] and
+    /// [`ShardedMonitor::shard_health`]; no health gauge is registered.
     pub fn with_registry(mut self, registry: &Registry) -> ShardedMonitor {
         self.metrics = (0..self.shards.len())
             .map(|i| ShardMetrics::from_registry(registry, i))
             .collect();
         self.frame_metrics = FrameMetrics::from_registry(registry);
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_registry(registry))
-            .collect();
         self.validator = TraceValidator::new().with_registry(registry);
-        self
+        self.each_shard(|s| s.with_registry(registry))
     }
 
-    /// Installs a span tracer on every shard; each shard stamps its own
-    /// shard id on the contexts it opens, so stage histograms filter per
-    /// shard.
-    pub fn with_tracer(mut self, tracer: Tracer) -> ShardedMonitor {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_tracer(tracer.clone()))
-            .collect();
-        self
+    /// Installs a span tracer on every shard. Ingest, flush, per-session
+    /// score, commit and audit stages open spans carrying a
+    /// [`SpanContext`](adprom_obs::SpanContext) (app, session, pinned
+    /// epoch, flush batch id, shard), so one session's path can be
+    /// reassembled from the span stream and stage histograms filter per
+    /// shard. Ingest spans carry epoch 0 (the session's epoch is resolved
+    /// at admission, after the span opens).
+    pub fn with_tracer(self, tracer: Tracer) -> ShardedMonitor {
+        self.each_shard(|s| s.with_tracer(tracer.clone()))
+    }
+
+    /// Routes every alarm of every shard to `audit`, each record stamped
+    /// with the session's app id and pinned profile epoch. A shard
+    /// appends at its serial commit, on the caller's thread, so sequence
+    /// numbers are the same at any thread count and under retry.
+    pub fn with_audit(self, audit: Arc<AuditLog>) -> ShardedMonitor {
+        self.each_shard(|s| s.with_audit(Arc::clone(&audit)))
+    }
+
+    /// Arms a flight recorder on every session of every shard: each
+    /// scored window's score/threshold/delta/flag lands in a bounded
+    /// per-session ring, and every alarm's audit record carries a
+    /// [`ForensicReport`](adprom_obs::ForensicReport) — the window's top-k
+    /// most-deviant call transitions (exact factors of the forward
+    /// recursion that scores it) plus the session's recent window-score
+    /// series. Reports are drained at the serial commit point, so — like
+    /// verdicts and audit sequence numbers — they are bit-identical at
+    /// any thread count.
+    pub fn with_forensics(self, config: ForensicsConfig) -> ShardedMonitor {
+        self.each_shard(|s| s.with_forensics(config))
+    }
+
+    /// Arms every shard's fail points from `injector`
+    /// ([`sites::MONITOR_SWAP`](crate::resilience::sites::MONITOR_SWAP),
+    /// [`sites::MONITOR_PRESSURE`](crate::resilience::sites::MONITOR_PRESSURE),
+    /// [`sites::MONITOR_QUEUE_OVERFLOW`](crate::resilience::sites::MONITOR_QUEUE_OVERFLOW)).
+    /// Keys are per shard; trigger state is shared (see the module docs).
+    pub fn with_faults(self, injector: &FaultInjector) -> ShardedMonitor {
+        self.each_shard(|s| s.with_faults(injector))
+    }
+
+    /// Replaces every shard's per-session-batch retry policy.
+    pub fn with_retry(self, retry: RetryPolicy) -> ShardedMonitor {
+        self.each_shard(|s| s.with_retry(retry))
     }
 
     /// Number of shards.
@@ -349,31 +368,6 @@ impl ShardedMonitor {
         }
     }
 
-    /// Drives all shards concurrently: the stream is partitioned by the
-    /// routing hash, then the shards are mapped over the resident rayon
-    /// pool, each replaying its own substream. Per-shard event order is
-    /// identical to the serial drive, so verdicts are too; only the tick
-    /// interleaving *across* shards differs, which no per-shard decision
-    /// observes.
-    pub fn ingest_stream_parallel(&mut self, stream: &[TaggedCall]) {
-        let n = self.shards.len();
-        let mut parts: Vec<Vec<&TaggedCall>> = vec![Vec::new(); n];
-        for tagged in stream {
-            parts[shard_for(&tagged.app, &tagged.session, n)].push(tagged);
-        }
-        let drives: Vec<(&mut MonitorRuntime, Vec<&TaggedCall>)> =
-            self.shards.iter_mut().zip(parts).collect();
-        let statuses: Vec<Vec<IngestStatus>> = drives
-            .into_par_iter()
-            .map(|(shard, part)| part.into_iter().map(|t| shard.ingest(t)).collect())
-            .collect();
-        for (shard, statuses) in statuses.into_iter().enumerate() {
-            for status in statuses {
-                self.note(shard, status);
-            }
-        }
-    }
-
     /// Decodes a wire-frame buffer and routes every clean record to its
     /// shard. Corrupt frames are quarantined by the decoder (which
     /// resynchronizes past them); defective records are quarantined by
@@ -438,7 +432,8 @@ impl ShardedMonitor {
         report
     }
 
-    /// Flushes every shard's pending work through its scoring pool.
+    /// Flushes every shard's pending work through its scoring
+    /// participants.
     pub fn flush_all(&mut self) {
         for shard in &mut self.shards {
             shard.flush();
@@ -484,21 +479,6 @@ impl ShardedMonitor {
             .unwrap_or(Health::Healthy)
     }
 
-    /// Executes one control-plane command.
-    pub fn control(&mut self, command: ServiceCommand) -> Result<ServiceResponse, SwapError> {
-        match command {
-            ServiceCommand::Swap { app, profile } => self
-                .swap_profile(&app, *profile)
-                .map(|epoch| ServiceResponse::Swapped { epoch }),
-            ServiceCommand::Drain => {
-                self.flush_all();
-                Ok(ServiceResponse::Drained)
-            }
-            ServiceCommand::Snapshot => Ok(ServiceResponse::Snapshot(self.snapshot())),
-            ServiceCommand::Health => Ok(ServiceResponse::Health(self.health())),
-        }
-    }
-
     /// Finalizes every shard and merges the reports in deterministic
     /// `(shard, arrival)` order: shard 0's reports in arrival order,
     /// then shard 1's, … A failed session raises its shard's health to
@@ -530,7 +510,7 @@ fn record_span(histogram: &Histogram, start: Instant, end: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{fnv1a, OverloadConfig};
+    use crate::runtime::{OverloadConfig, ShedPolicy};
     use crate::scorer::ScoringMode;
     use crate::wire::encode_stream;
     use crate::{Alphabet, Profile};
@@ -631,6 +611,14 @@ mod tests {
         assert!(used.len() > 1, "{used:?}");
     }
 
+    /// FNV-1a over a whole key: what streaming `app ‖ 0xFF ‖ session`
+    /// through the route hash must equal.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = Fnv::default();
+        h.write(bytes);
+        h.finish()
+    }
+
     #[test]
     fn streaming_route_hash_equals_fnv1a_of_the_joined_key() {
         for (app, session) in [
@@ -654,34 +642,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_verdicts_match_single_runtime_and_merge_deterministically() {
+    fn sharded_verdicts_match_one_shard_and_merge_deterministically() {
         let sessions = demo_sessions(6);
         let stream = interleave(&sessions, 0x51A2D);
 
-        let mut single = MonitorRuntime::new(registry());
+        let mut single = ShardedMonitor::new(registry(), 1);
         single.ingest_stream(&stream);
         let mut expected: Vec<SessionReport> = single.finish();
         expected.sort_by_key(|r| (shard_for(&r.app, &r.session, 4), r.arrival));
-        // Arrival indices are per-runtime, so compare identity + alerts.
+        // Arrival indices are per shard, so compare identity + alerts.
         let expected: Vec<(String, String, String)> = expected
             .into_iter()
             .map(|r| (r.app, r.session, format!("{:?}", r.alerts)))
             .collect();
 
-        for parallel in [false, true] {
-            let mut sharded = ShardedMonitor::new(registry(), 4);
-            if parallel {
-                sharded.ingest_stream_parallel(&stream);
-            } else {
-                sharded.ingest_stream(&stream);
-            }
-            let got: Vec<(String, String, String)> = sharded
-                .finish()
-                .into_iter()
-                .map(|r| (r.app, r.session, format!("{:?}", r.alerts)))
-                .collect();
-            assert_eq!(got, expected, "parallel={parallel}");
-        }
+        let mut sharded = ShardedMonitor::new(registry(), 4);
+        sharded.ingest_stream(&stream);
+        let got: Vec<(String, String, String)> = sharded
+            .finish()
+            .into_iter()
+            .map(|r| (r.app, r.session, format!("{:?}", r.alerts)))
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -724,16 +706,9 @@ mod tests {
         let stream = interleave(&sessions, 0xBA44);
         let half = stream.len() / 2;
         monitor.ingest_stream(&stream[..half]);
-        let response = monitor
-            .control(ServiceCommand::Swap {
-                app: "bank".to_string(),
-                profile: Box::new(cyclic_profile("bank", 0.0)),
-            })
+        let epoch = monitor
+            .swap_profile("bank", cyclic_profile("bank", 0.0))
             .expect("swap validates");
-        let epoch = match response {
-            ServiceResponse::Swapped { epoch } => epoch,
-            other => panic!("unexpected response {other:?}"),
-        };
         assert_eq!(epoch, 2);
         monitor.ingest_stream(&stream[half..]);
         let reports = monitor.finish();
@@ -822,49 +797,55 @@ mod tests {
     }
 
     #[test]
-    fn shed_raises_shard_health_and_unknown_app_is_tallied() {
-        use crate::runtime::ShedPolicy;
+    fn shed_degrades_its_shard_and_unknown_app_is_tallied() {
         let mut monitor = ShardedMonitor::new(registry(), 2).with_config(RuntimeConfig {
-            queue_capacity: 0,
+            mode: ScoringMode::Incremental,
             overload: OverloadConfig {
-                capacity: 1,
+                capacity: 6,
                 shed_policy: ShedPolicy::DropNewest,
-                budget: 1,
+                budget: 3,
                 ..OverloadConfig::default()
             },
-            mode: ScoringMode::Incremental,
             ..RuntimeConfig::default()
         });
-        let mk = |session: &str, name: &str| TaggedCall {
+        let tag = |session: &str, name: &str| TaggedCall {
             app: "bank".to_string(),
             session: session.to_string(),
             event: event(name, "main"),
         };
-        // Benign events on a demoted session can shed once the queue is
-        // at capacity; drive enough to see at least one shed.
-        let mut shed_seen = false;
-        for round in 0..8 {
-            for s in 0..4 {
-                let status = monitor.ingest(&mk(&format!("s-{s}"), "a"));
-                shed_seen |= status == IngestStatus::Shed;
-                let _ = round;
+        // Two sessions on one shard: two flushes establish their margins,
+        // and the second demotes the second session on `s-0`'s shard
+        // (equal margin, later arrival) to the spot tier under budget 3.
+        let shard = monitor.shard_of("bank", "s-0");
+        let s1 = (1..)
+            .map(|i| format!("s-{i}"))
+            .find(|s| monitor.shard_of("bank", s) == shard)
+            .expect("a second session on the shard");
+        for _ in 0..2 {
+            for s in ["s-0", s1.as_str()] {
+                for name in ["a", "b", "c_Q7"] {
+                    assert_eq!(monitor.ingest(&tag(s, name)), IngestStatus::Admitted);
+                }
             }
+            monitor.flush_all();
         }
-        if shed_seen {
-            assert_eq!(monitor.health(), Health::Degraded);
-            assert!(monitor
-                .shard_health(
-                    monitor
-                        .snapshot()
-                        .iter()
-                        .find(|s| s.tally.shed > 0)
-                        .unwrap()
-                        .shard
-                )
-                .reasons()
-                .iter()
-                .any(|r| r.contains("shed")));
+        // Fill the shard's queue to its hard bound; the next benign event
+        // for the demoted session is shed.
+        for name in ["a", "b", "c_Q7", "a", "b", "c_Q7"] {
+            assert_eq!(monitor.ingest(&tag("s-0", name)), IngestStatus::Admitted);
         }
+        assert_eq!(monitor.ingest(&tag(&s1, "a")), IngestStatus::Shed);
+        let status = monitor.snapshot();
+        assert_eq!(status[shard].tally.shed, 1);
+        assert_eq!(status[shard].health, Health::Degraded);
+        assert_eq!(status[1 - shard].health, Health::Healthy);
+        assert_eq!(monitor.health(), Health::Degraded);
+        assert!(monitor
+            .shard_health(shard)
+            .reasons()
+            .iter()
+            .any(|r| r.contains("shed")));
+
         let unknown = TaggedCall {
             app: "ghost".to_string(),
             session: "s".to_string(),

@@ -3,8 +3,7 @@
 //!
 //! Handles are acquired once (taking the registry's registration lock) and
 //! cloned freely afterwards — clones share the underlying atomics, so a
-//! [`MonitorRuntime`](crate::runtime::MonitorRuntime) can hand one set of
-//! handles to every rayon worker. Everything defaults to the disabled
+//! monitor shard can hand one set of handles to every rayon worker. Everything defaults to the disabled
 //! (no-op) state: a [`DetectionEngine`](crate::detect::DetectionEngine)
 //! built without [`with_registry`](crate::detect::DetectionEngine::with_registry)
 //! pays a single branch per update.
@@ -101,9 +100,8 @@ impl DetectMetrics {
     }
 }
 
-/// Metric handles for the resilience layer of
-/// [`MonitorRuntime`](crate::runtime::MonitorRuntime): panic isolation and
-/// bounded retry of per-session replays. Health itself lives in the
+/// Metric handles for the resilience layer of a monitor shard: panic
+/// isolation and bounded retry of per-session replays. Health itself lives in the
 /// per-app [`HealthMonitor`](crate::resilience::HealthMonitor)s of the
 /// [`ProfileRegistry`](crate::registry::ProfileRegistry).
 #[derive(Debug, Clone, Default)]
@@ -170,9 +168,10 @@ impl RegistryMetrics {
     }
 }
 
-/// Metric handles for [`MonitorRuntime`](crate::runtime::MonitorRuntime):
-/// session-table occupancy, ingest queue depth, and eviction/swap
-/// accounting across the interleaved stream.
+/// Metric handles for the shards of
+/// [`ShardedMonitor`](crate::shard::ShardedMonitor): session-table
+/// occupancy, ingest queue depth, and eviction/swap accounting across the
+/// interleaved stream.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorMetrics {
     /// `monitor.sessions.active` — sessions currently resident in the

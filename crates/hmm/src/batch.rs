@@ -438,7 +438,7 @@ impl F32Kernel {
 
     /// f32 analogue of [`score_windows_batch`]: same lane-major recursion,
     /// single-precision state, with the per-step `ln` computed by the
-    /// branchless [`fast_ln_f32`] polynomial. Scores (and captured steps)
+    /// branchless `fast_ln_f32` polynomial. Scores (and captured steps)
     /// are the f64 widenings of those f32 step terms, accumulated in
     /// f64 — so steps still resum bit-identically to the score, and the
     /// per-lane result is independent of the batch width (k = 1 scores a

@@ -41,9 +41,10 @@
 //! When an event has zero probability given the chain (`c_t = 0`), the
 //! telescoping chain breaks. [`SlidingForward::push`] then performs the
 //! exact-recompute fallback: it re-anchors — restarting the chain at the
-//! offending event from π exactly as a fresh [`crate::forward`] pass
-//! would — and records `-inf` as the event's contribution only if the
-//! event is impossible even as a sequence start. Any window containing a
+//! offending event from π exactly as a fresh
+//! [`forward()`](crate::forward()) pass would — and records `-inf` as the
+//! event's contribution only if the event is impossible even as a
+//! sequence start. Any window containing a
 //! `-inf` contribution scores `-inf`, matching what a full per-window
 //! recompute would report for a window containing an impossible event.
 //! Models smoothed with [`crate::Hmm::smooth`] (as AD-PROM profiles are)
@@ -272,8 +273,8 @@ impl<'a> SlidingForward<'a> {
     }
 
     /// Advances the window by one event (O(N²)) and returns the score of
-    /// the window now ending at this event — equal to [`score`]
-    /// (SlidingForward::score).
+    /// the window now ending at this event — equal to
+    /// [`score`](SlidingForward::score).
     pub fn push(&mut self, symbol: usize) -> f64 {
         self.state.push(self.hmm, self.kernel, symbol)
     }
@@ -292,9 +293,10 @@ impl<'a> SlidingForward<'a> {
 }
 
 /// Scores every sliding window of `obs` incrementally, returning one score
-/// per window (the same window set as [`crate::forward`]-per-window
-/// scanning: `len − n + 1` windows for `len > n`, one window otherwise,
-/// none for an empty trace).
+/// per window (the same window set as
+/// [`forward()`](crate::forward())-per-window scanning: `len − n + 1`
+/// windows for `len > n`, one window otherwise, none for an empty
+/// trace).
 pub fn scan_scores(hmm: &Hmm, obs: &[usize], window: usize) -> Vec<f64> {
     if obs.is_empty() {
         return Vec::new();

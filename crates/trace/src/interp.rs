@@ -14,7 +14,7 @@
 //!
 //! The tree-walk is the *reference semantics* of the language. The bytecode
 //! VM in [`crate::vm`] is the production path; both delegate every library
-//! call to the shared [`crate::host`] layer, and the differential suite in
+//! call to the shared `host` layer, and the differential suite in
 //! `tests/vm_equivalence.rs` pins their traces bit-identical.
 
 use crate::collector::{CallEvent, CallSink};

@@ -7,7 +7,7 @@
 //! the `CallEvent` it hands the sink — which the [`CallSink`] API owns.
 //!
 //! Semantics are pinned to the tree-walking interpreter (the reference) two
-//! ways: every library call goes through the shared [`crate::host`] layer,
+//! ways: every library call goes through the shared `host` layer,
 //! and the differential proptest suite in `tests/vm_equivalence.rs` asserts
 //! bit-identical call sequences and outcomes per program × input × seed.
 //! [`execute_program`] dispatches between the two runtimes on

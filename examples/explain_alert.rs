@@ -10,7 +10,7 @@
 //!
 //! This walkthrough profiles the banking and hospital applications, replays
 //! the §V-C attack mutants (plus the SQL-injection input) through a
-//! forensics-armed [`MonitorRuntime`], and prints each attack family's
+//! forensics-armed [`ShardedMonitor`], and prints each attack family's
 //! worst window with its ranked attribution and delta-vs-threshold tail.
 //!
 //! ```text
@@ -18,7 +18,7 @@
 //! ```
 //!
 //! [`ForensicReport`]: adprom::obs::ForensicReport
-//! [`MonitorRuntime`]: adprom::core::MonitorRuntime
+//! [`ShardedMonitor`]: adprom::core::ShardedMonitor
 
 use adprom::analysis::analyze;
 use adprom::attacks::{
@@ -26,7 +26,7 @@ use adprom::attacks::{
     attack4_binary_patch, AttackOutcome,
 };
 use adprom::core::{
-    build_profile, ConstructorConfig, ForensicsConfig, MonitorRuntime, ProfileRegistry,
+    build_profile, ConstructorConfig, ForensicsConfig, ProfileRegistry, ShardedMonitor,
 };
 use adprom::obs::{AuditLog, AuditRecord, MemoryAuditSink};
 use adprom::trace::{interleave, CallEvent};
@@ -99,11 +99,11 @@ fn main() {
     sessions.push(("banking".into(), "banking/attack5#0".into(), injected));
 
     // 3. Detection phase: the interleaved attack stream through a
-    //    forensics-armed runtime with the audit log attached. Reports are
+    //    forensics-armed monitor with the audit log attached. Reports are
     //    built only when a session alarms — the benign path stays
     //    allocation-free — and land on the alarm's audit record.
     let sink = Arc::new(MemoryAuditSink::new());
-    let mut runtime = MonitorRuntime::new(Arc::new(profiles))
+    let mut runtime = ShardedMonitor::new(Arc::new(profiles), 1)
         .with_forensics(ForensicsConfig::default())
         .with_audit(Arc::new(AuditLog::new(sink.clone())));
     let stream = interleave(&sessions, 0xF0CE);

@@ -1,5 +1,5 @@
 //! Multi-application monitoring: three applications' sessions multiplexed
-//! through one [`MonitorRuntime`].
+//! through one [`ShardedMonitor`](adprom::core::ShardedMonitor).
 //!
 //! The paper profiles each application program in isolation; a deployed
 //! monitor sits in front of the DBMS and sees *every* application's
@@ -16,7 +16,7 @@
 
 use adprom::analysis::analyze;
 use adprom::core::{
-    build_profile, ConstructorConfig, MonitorRuntime, ProfileRegistry, RuntimeConfig, ScoringMode,
+    build_profile, ConstructorConfig, ProfileRegistry, RuntimeConfig, ScoringMode, ShardedMonitor,
 };
 use adprom::obs::Registry;
 use adprom::trace::{interleave, CallEvent};
@@ -89,7 +89,7 @@ fn main() {
     //    events across the worker pool as the stream arrives.
     let profiles = Arc::new(registry);
     let obs = Registry::new();
-    let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+    let mut runtime = ShardedMonitor::new(Arc::clone(&profiles), 1)
         .with_config(RuntimeConfig {
             mode: ScoringMode::Incremental,
             queue_capacity: 256,

@@ -3,11 +3,11 @@
 //! Instead of scanning traces after the fact, the Calls Collector taps
 //! the interpreter: a [`SessionTap`](adprom::trace::SessionTap) tags every
 //! library call with its application and session, and a
-//! [`MonitorRuntime`] slides the n-window forward and scores it as the
-//! calls stream in (§IV-D — "the sequence includes the last call and the
-//! n−1 past calls"). The runtime that multiplexes many sessions serves
-//! this one too; its verdicts are the whole-trace scan's, window for
-//! window.
+//! one-shard [`ShardedMonitor`](adprom::core::ShardedMonitor) slides the
+//! n-window forward and scores it as the calls stream in (§IV-D — "the
+//! sequence includes the last call and the n−1 past calls"). The monitor
+//! that multiplexes many sessions serves this one too; its verdicts are
+//! the whole-trace scan's, window for window.
 //!
 //! ```text
 //! cargo run --release --example online_monitoring
@@ -16,7 +16,7 @@
 use adprom::analysis::analyze;
 use adprom::client::ClientSession;
 use adprom::core::{
-    build_profile, ConstructorConfig, DetectionEngine, MonitorRuntime, ProfileRegistry,
+    build_profile, ConstructorConfig, DetectionEngine, ProfileRegistry, ShardedMonitor,
 };
 use adprom::trace::{run_program, CallEvent, ExecConfig, InterleavedCollector};
 use adprom::workloads::supermarket;
@@ -59,7 +59,7 @@ fn main() {
     .expect("session runs");
     let stream = collector.into_stream();
 
-    let mut runtime = MonitorRuntime::new(Arc::new(registry));
+    let mut runtime = ShardedMonitor::new(Arc::new(registry), 1);
     runtime.ingest_stream(&stream);
     let reports = runtime.finish();
     assert_eq!(reports.len(), 1, "one session streamed");

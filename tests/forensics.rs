@@ -1,7 +1,8 @@
 //! The forensics determinism contract, end to end: every alarm audit
-//! record from a forensics-armed [`MonitorRuntime`] carries a
+//! record from a forensics-armed [`ShardedMonitor`] carries a
 //! [`ForensicReport`](adprom::obs::ForensicReport) whose serialized form
-//! is bit-identical at any worker thread count, and benign sessions never
+//! is bit-identical at any worker thread count, at one shard or several
+//! sharing one audit log, and benign sessions never
 //! promote their flight recorder into a report (no forensics counter
 //! tick, no audit attachment).
 
@@ -9,8 +10,8 @@ mod fixtures;
 mod oracle;
 
 use adprom::core::{
-    FaultPlan, ForensicsConfig, KernelConfig, MonitorRuntime, OverloadConfig, ProfileRegistry,
-    ScoringMode,
+    FaultPlan, ForensicsConfig, KernelConfig, OverloadConfig, ProfileRegistry, ScoringMode,
+    ShardedMonitor,
 };
 use adprom::hmm::SparseConfig;
 use adprom::obs::{AuditLog, MemoryAuditSink, Registry};
@@ -24,8 +25,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The forensics slice of the verdict oracle. For every random
-    /// interleaving, kernel, scoring mode and thread count ∈ {1, 4, 8},
-    /// with queue bound 3 forcing many mid-stream flushes: arming the
+    /// interleaving, kernel, scoring mode, shard count ∈ {1, 2} and thread
+    /// count ∈ {1, 4, 8}, with queue bound 3 forcing many mid-stream
+    /// flushes: arming the
     /// flight recorder changes no report and no memo count; the audit
     /// records — forensic reports included, down to every float bit via
     /// the serialized JSONL form — are identical at every thread count,
@@ -44,7 +46,7 @@ proptest! {
             ],
             stream: &stream,
             swap: None,
-            shards: &[],
+            shards: &[1, 2],
             threads: &[1, 4, 8],
             kernels: &[KernelConfig::Dense, KernelConfig::Sparse { sparse: SparseConfig::default() }],
             modes: &[ScoringMode::ExactWindows, ScoringMode::Incremental],
@@ -85,7 +87,7 @@ fn benign_sessions_produce_no_forensics() {
             .unwrap();
         let obs = Registry::new();
         let sink = Arc::new(MemoryAuditSink::new());
-        let mut runtime = MonitorRuntime::new(Arc::new(registry))
+        let mut runtime = ShardedMonitor::new(Arc::new(registry), 1)
             .with_registry(&obs)
             .with_audit(Arc::new(AuditLog::new(sink.clone())));
         if armed {

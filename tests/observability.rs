@@ -7,8 +7,8 @@
 
 use adprom::analysis::analyze;
 use adprom::core::{
-    build_profile, ConstructorConfig, DetectionEngine, Flag, MonitorRuntime, ProfileRegistry,
-    RuntimeConfig, ScoringMode,
+    build_profile, ConstructorConfig, DetectionEngine, Flag, ProfileRegistry, RuntimeConfig,
+    ScoringMode,
 };
 use adprom::core::{encode_stream, Alphabet, Profile, ShardedMonitor, WIRE_HEADER};
 use adprom::hmm::Hmm;
@@ -107,7 +107,7 @@ fn banking_attack_audit_records_roundtrip_and_reproduce_flags() {
         .register("App_b", profile.clone())
         .expect("profile validates");
     let batch_sink = Arc::new(MemoryAuditSink::new());
-    let mut runtime = MonitorRuntime::new(Arc::new(profiles))
+    let mut runtime = ShardedMonitor::new(Arc::new(profiles), 1)
         .with_config(RuntimeConfig {
             max_sessions: 0,
             queue_capacity: 0,
@@ -170,7 +170,7 @@ fn metrics_snapshot_names_every_pipeline_counter() {
         })
         .collect();
     for mode in [ScoringMode::ExactWindows, ScoringMode::Incremental] {
-        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+        let mut runtime = ShardedMonitor::new(Arc::clone(&profiles), 1)
             .with_registry(&registry)
             .with_config(RuntimeConfig {
                 mode,

@@ -8,17 +8,22 @@
 //! each de-interleaved session against the profile epoch in force at the
 //! session's first event.
 //!
-//! Audit, forensics and fault injection exist only on [`MonitorRuntime`],
-//! so every runtime run carries an audit log and those dimensions run
-//! there; [`ShardedMonitor`] runs at each listed shard count under all
-//! three drives. Eviction, idle timeout and `DropNewest` shedding change
-//! which windows a session scores, so they are outside the contract.
+//! Every run is a [`ShardedMonitor`] with an audit log, a fault plan and
+//! a forensics setting, at each listed shard count, driven by
+//! `ingest_stream` or `ingest_frames`. It publishes the mid-stream swap
+//! either with a bare `register` on the shared registry or through
+//! `swap_profile`'s flush barrier. Successive thread counts alternate the
+//! two drives; the drive the first thread count takes, and the way the
+//! swap is published, alternate with each shard count and each (kernel,
+//! mode, overload) point. Eviction, idle timeout and `DropNewest`
+//! shedding change which windows a session scores, so they are outside
+//! the contract.
 
 use adprom::core::resilience::sites;
 use adprom::core::{
-    encode_stream, shard_for, Alert, FaultPlan, ForensicsConfig, KernelConfig, MonitorRuntime,
-    OverloadConfig, Profile, ProfileRegistry, RetryPolicy, RuntimeConfig, ScoringMode, ScoringTier,
-    SessionEnd, SessionReport, ShardedMonitor, ShedPolicy, WindowScorer,
+    encode_stream, shard_for, Alert, FaultPlan, ForensicsConfig, KernelConfig, OverloadConfig,
+    Profile, ProfileRegistry, RetryPolicy, RuntimeConfig, ScoringMode, ScoringTier, SessionEnd,
+    SessionReport, ShardedMonitor, ShedPolicy, WindowScorer,
 };
 use adprom::obs::{AuditLog, AuditRecord, MemoryAuditSink, MetricsSnapshot, Registry};
 use adprom::trace::{CallEvent, TaggedCall};
@@ -42,10 +47,9 @@ pub struct Sweep<'a> {
     /// A mid-stream hot-swap `(cut, app, profile)`: `app`'s epoch 2 is
     /// published just before `stream[cut]` arrives.
     pub swap: Option<(usize, &'a str, &'a Profile)>,
-    /// Shard counts of the `ShardedMonitor` runs, each driven by
-    /// `ingest_stream`, `ingest_stream_parallel` and `ingest_frames`.
+    /// Shard counts: every configuration runs at each.
     pub shards: &'a [usize],
-    /// Scoring threads of each runtime (of each shard).
+    /// Scoring threads of each shard.
     pub threads: &'a [usize],
     /// Kernels every epoch is registered with.
     pub kernels: &'a [KernelConfig],
@@ -53,10 +57,9 @@ pub struct Sweep<'a> {
     pub modes: &'a [ScoringMode],
     /// Soft flush bound ([`RuntimeConfig::queue_capacity`]).
     pub queue_capacity: usize,
-    /// Fault plans armed on the `MonitorRuntime` runs
-    /// ([`FaultPlan::disabled`] for none).
+    /// Fault plans ([`FaultPlan::disabled`] for none).
     pub faults: &'a [FaultPlan],
-    /// Whether the `MonitorRuntime` runs arm forensics.
+    /// Whether a run arms forensics.
     pub forensics: &'a [bool],
     /// Overload controls: the default is off, anything else must use
     /// [`ShedPolicy::Backpressure`].
@@ -76,14 +79,15 @@ pub struct Sweep<'a> {
 ///   each alarmed session ending at the full tier, and the queue never
 ///   above the hard bound;
 /// * framed ingest decodes every frame and admits every event;
-/// * per `MonitorRuntime` run: every injected panic recovered, one audit
-///   row per alarm, and each forensic report explaining its alarm;
-/// * reports and memo counts identical across thread counts and with
-///   forensics on or off, audit rows identical across thread counts, and
-///   sharded reports identical across thread counts and drives.
+/// * every injected panic recovered, and one gapless audit row per alarm,
+///   each explained by its forensic report when forensics is on;
+/// * at each shard count and fault plan, reports and memo counts
+///   identical across thread counts, drives, and forensics on or off,
+///   and audit rows identical across thread counts and drives.
 pub fn check(sweep: &Sweep) -> Result<(), String> {
     quiet_injected_panics();
     let sessions = sessions(sweep.stream);
+    let mut point = 0;
     for &kernel in sweep.kernels {
         // The modes differ in scores, never in which windows they score.
         let mut windows: Option<Vec<Vec<Vec<String>>>> = None;
@@ -108,8 +112,9 @@ pub fn check(sweep: &Sweep) -> Result<(), String> {
                     overload,
                 };
                 let at = format!("{kernel:?} {mode:?} {overload:?}");
-                check_runtime(sweep, kernel, &config, &truth).map_err(|e| format!("{at}: {e}"))?;
-                check_sharded(sweep, kernel, &config, &truth).map_err(|e| format!("{at}: {e}"))?;
+                check_runs(sweep, kernel, &config, &truth, point)
+                    .map_err(|e| format!("{at}: {e}"))?;
+                point += 1;
             }
         }
     }
@@ -208,74 +213,90 @@ fn reference(
     Ok(expected)
 }
 
-/// Every `MonitorRuntime` run of one point: fault plans × forensics ×
-/// threads.
-fn check_runtime(
+/// Every run of the `point`-th point: shards × fault plans × forensics ×
+/// threads. Successive thread counts alternate the drives rather than
+/// each running both: every group of runs held identical still spans both
+/// drives once it has two thread counts, at half the runs. The first
+/// thread count's drive, and the swap's publication, flip with each shard
+/// count and each point, so a suite with two of either pairs every thread
+/// count with both drives and runs both publications. A group keeps one
+/// publication: the barrier flush moves commits, and with them the audit
+/// order and the memo counts.
+fn check_runs(
     sweep: &Sweep,
     kernel: KernelConfig,
     config: &RuntimeConfig,
     truth: &Truth,
+    point: usize,
 ) -> Result<(), String> {
-    let order = merge_order(truth.sessions, 1);
-    for plan in sweep.faults {
-        let mut outcome = None;
-        for &forensics in sweep.forensics {
-            let mut rows: Option<Vec<String>> = None;
-            for &threads in sweep.threads {
-                let at = format!("runtime, {threads} threads, forensics {forensics}, {plan:?}");
-                let run = run_runtime(sweep, kernel, config, threads, plan, forensics)?;
-                check_reports(&run.reports, &order, truth, &run.metrics)
-                    .and_then(|()| check_audit(&run, config, forensics))
-                    .and_then(|()| {
-                        let memo = ["monitor.memo.hits", "monitor.memo.misses"]
-                            .map(|name| run.metrics.counter(name));
-                        same(&mut outcome, (format!("{:?}", run.reports), memo))?;
-                        same(
-                            &mut rows,
-                            run.audit.iter().map(AuditRecord::to_jsonl).collect(),
-                        )
-                    })
-                    .map_err(|e| format!("{at}: {e}"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Every `ShardedMonitor` run of one point: shards × threads × drives.
-fn check_sharded(
-    sweep: &Sweep,
-    kernel: KernelConfig,
-    config: &RuntimeConfig,
-    truth: &Truth,
-) -> Result<(), String> {
-    for &shards in sweep.shards {
+    for (shard_index, &shards) in sweep.shards.iter().enumerate() {
         let order = merge_order(truth.sessions, shards);
-        let mut outcome = None;
-        for &threads in sweep.threads {
-            for drive in [Drive::Stream, Drive::Parallel, Drive::Frames] {
-                let at = format!("{shards} shards, {threads} threads, {drive:?}");
-                run_sharded(sweep, kernel, config, shards, threads, drive)
-                    .and_then(|(reports, metrics)| {
-                        check_reports(&reports, &order, truth, &metrics)?;
-                        same(&mut outcome, format!("{reports:?}"))
-                    })
-                    .map_err(|e| format!("{at}: {e}"))?;
+        let turn = point + shard_index;
+        let publish = [Publish::Register, Publish::Barrier][turn % 2];
+        for plan in sweep.faults {
+            let mut outcome = None;
+            for &forensics in sweep.forensics {
+                let mut rows: Option<Vec<String>> = None;
+                let drives = [Drive::Stream, Drive::Frames].into_iter().cycle();
+                for (&threads, drive) in sweep.threads.iter().zip(drives.skip(turn)) {
+                    let setup = Setup {
+                        shards,
+                        threads,
+                        drive,
+                        publish,
+                        forensics,
+                        plan,
+                    };
+                    run(sweep, kernel, config, &setup)
+                        .and_then(|run| {
+                            check_reports(&run.reports, &order, truth, &run.metrics)?;
+                            check_audit(&run, config, forensics)?;
+                            let memo = ["monitor.memo.hits", "monitor.memo.misses"]
+                                .map(|name| run.metrics.counter(name));
+                            same(&mut outcome, (format!("{:?}", run.reports), memo))?;
+                            same(
+                                &mut rows,
+                                run.audit.iter().map(AuditRecord::to_jsonl).collect(),
+                            )
+                        })
+                        .map_err(|e| format!("{setup:?}: {e}"))?;
+                }
             }
         }
     }
     Ok(())
 }
 
-/// How a `ShardedMonitor` run takes the stream.
+/// How a run takes the stream.
 #[derive(Debug, Clone, Copy)]
 enum Drive {
     Stream,
-    Parallel,
     Frames,
 }
 
-/// What one `MonitorRuntime` run left behind.
+/// How a run publishes the mid-stream swap.
+#[derive(Debug, Clone, Copy)]
+enum Publish {
+    /// A bare `ProfileRegistry::register` on the shared registry, as any
+    /// holder of it may call: it lands on buffered sessions, which keep
+    /// the epoch they pinned at their first event.
+    Register,
+    /// `ShardedMonitor::swap_profile`: flush every shard, then publish.
+    Barrier,
+}
+
+/// One run of a point.
+#[derive(Debug)]
+struct Setup<'a> {
+    shards: usize,
+    threads: usize,
+    drive: Drive,
+    publish: Publish,
+    forensics: bool,
+    plan: &'a FaultPlan,
+}
+
+/// What one run left behind.
 struct Run {
     reports: Vec<SessionReport>,
     audit: Vec<AuditRecord>,
@@ -301,21 +322,19 @@ fn halves<'a>(sweep: &Sweep<'a>) -> (&'a [TaggedCall], &'a [TaggedCall]) {
     sweep.stream.split_at(cut)
 }
 
-fn run_runtime(
+fn run(
     sweep: &Sweep,
     kernel: KernelConfig,
     config: &RuntimeConfig,
-    threads: usize,
-    plan: &FaultPlan,
-    forensics: bool,
+    setup: &Setup,
 ) -> Result<Run, String> {
     let profiles = registry(sweep, kernel)?;
     let obs = Registry::new();
     let sink = Arc::new(MemoryAuditSink::new());
-    let injector = plan.arm();
-    let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+    let injector = setup.plan.arm();
+    let mut service = ShardedMonitor::new(Arc::clone(&profiles), setup.shards)
         .with_config(config.clone())
-        .with_threads(threads)
+        .with_threads(setup.threads)
         .with_registry(&obs)
         .with_audit(Arc::new(AuditLog::new(sink.clone())))
         .with_faults(&injector)
@@ -323,50 +342,20 @@ fn run_runtime(
             backoff: Duration::ZERO,
             ..RetryPolicy::default()
         });
-    if forensics {
-        runtime = runtime.with_forensics(ForensicsConfig::default());
+    if setup.forensics {
+        service = service.with_forensics(ForensicsConfig::default());
     }
-    let (head, tail) = halves(sweep);
-    runtime.ingest_stream(head);
-    if let Some((_, app, profile)) = sweep.swap {
-        // Sessions pin their epoch at ingest, so a bare publish is the
-        // service's flush-then-publish barrier.
-        profiles
-            .register(app, profile.clone())
-            .map_err(|e| e.to_string())?;
-    }
-    runtime.ingest_stream(tail);
-    Ok(Run {
-        reports: runtime.finish(),
-        audit: sink.records(),
-        metrics: obs.snapshot(),
-        panics: injector.injected(sites::MONITOR_SWAP),
-    })
-}
-
-fn run_sharded(
-    sweep: &Sweep,
-    kernel: KernelConfig,
-    config: &RuntimeConfig,
-    shards: usize,
-    threads: usize,
-    drive: Drive,
-) -> Result<(Vec<SessionReport>, MetricsSnapshot), String> {
-    let obs = Registry::new();
-    let mut service = ShardedMonitor::new(registry(sweep, kernel)?, shards)
-        .with_config(config.clone())
-        .with_threads(threads)
-        .with_registry(&obs);
     let (head, tail) = halves(sweep);
     for (part, swap) in [(head, None), (tail, sweep.swap)] {
         if let Some((_, app, profile)) = swap {
-            service
-                .swap_profile(app, profile.clone())
-                .map_err(|e| e.to_string())?;
+            let published = match setup.publish {
+                Publish::Register => profiles.register(app, profile.clone()),
+                Publish::Barrier => service.swap_profile(app, profile.clone()),
+            };
+            published.map_err(|e| e.to_string())?;
         }
-        match drive {
+        match setup.drive {
             Drive::Stream => service.ingest_stream(part),
-            Drive::Parallel => service.ingest_stream_parallel(part),
             Drive::Frames => {
                 let ingest = service.ingest_frames(&encode_stream(part, FRAME_RECORDS));
                 prop_assert_eq!(ingest.frames, part.len().div_ceil(FRAME_RECORDS));
@@ -378,11 +367,16 @@ fn run_sharded(
             }
         }
     }
-    Ok((service.finish(), obs.snapshot()))
+    Ok(Run {
+        reports: service.finish(),
+        audit: sink.records(),
+        metrics: obs.snapshot(),
+        panics: injector.injected(sites::MONITOR_SWAP),
+    })
 }
 
 /// Session indices in `ShardedMonitor::finish` order: shard-major, first
-/// arrival within a shard (one shard is the runtime's arrival order).
+/// arrival within a shard.
 fn merge_order(sessions: &[Session], shards: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..sessions.len()).collect();
     order.sort_by_key(|&i| shard_for(&sessions[i].app, &sessions[i].session, shards));
@@ -457,7 +451,7 @@ fn alarm_windows(alerts: &[Alert]) -> Vec<&[String]> {
     windows
 }
 
-/// A runtime run's fault recovery and audit trail: every injected panic
+/// A run's fault recovery and audit trail: every injected panic
 /// recovered, and per session one gapless audit row per alarm, in order,
 /// each explained by its forensic report when forensics is armed.
 fn check_audit(run: &Run, config: &RuntimeConfig, forensics: bool) -> Result<(), String> {

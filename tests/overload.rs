@@ -11,8 +11,8 @@ mod fixtures;
 mod oracle;
 
 use adprom::core::{
-    FaultPlan, KernelConfig, MonitorRuntime, OverloadConfig, ProfileRegistry, RuntimeConfig,
-    ScoringMode, ScoringTier, SessionReport, ShedPolicy,
+    FaultPlan, KernelConfig, OverloadConfig, ProfileRegistry, RuntimeConfig, ScoringMode,
+    ScoringTier, SessionReport, ShardedMonitor, ShedPolicy,
 };
 use adprom::hmm::SparseConfig;
 use adprom::obs::Registry;
@@ -55,7 +55,7 @@ fn run_overloaded(
     overload: OverloadConfig,
 ) -> (Vec<SessionReport>, Registry) {
     let obs = Registry::new();
-    let mut runtime = MonitorRuntime::new(sparse_registry())
+    let mut runtime = ShardedMonitor::new(sparse_registry(), 1)
         .with_threads(threads)
         .with_registry(&obs)
         .with_config(RuntimeConfig {
@@ -96,7 +96,7 @@ proptest! {
             ],
             stream: &stream,
             swap: None,
-            shards: &[],
+            shards: &[1],
             threads: &[1, 4, 8],
             kernels: &[KernelConfig::Sparse { sparse: SparseConfig::default() }],
             modes: &[ScoringMode::Incremental],

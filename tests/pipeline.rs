@@ -13,8 +13,8 @@ use adprom::attacks::{
 use adprom::core::resilience::sites;
 use adprom::core::{
     build_profile, shard_for, ConstructorConfig, DetectionEngine, FaultKind, FaultPlan, Flag,
-    ForensicsConfig, KernelConfig, MonitorRuntime, OverloadConfig, Profile, ProfileRegistry,
-    RuntimeConfig, ScoringMode, SessionReport, ShedPolicy, Trigger,
+    ForensicsConfig, KernelConfig, OverloadConfig, Profile, ProfileRegistry, RuntimeConfig,
+    ScoringMode, SessionReport, ShardedMonitor, ShedPolicy, Trigger,
 };
 use adprom::hmm::SparseConfig;
 use adprom::lang::Program;
@@ -216,7 +216,7 @@ fn monitored(
     }
     let obs = Registry::new();
     let sink = Arc::new(MemoryAuditSink::new());
-    let mut runtime = MonitorRuntime::new(Arc::new(registry))
+    let mut runtime = ShardedMonitor::new(Arc::new(registry), 1)
         .with_registry(&obs)
         .with_audit(Arc::new(AuditLog::new(sink.clone())))
         .with_forensics(ForensicsConfig::default())
@@ -296,7 +296,7 @@ fn attack_and_ca_corpora_hold_the_verdict_contract() {
         profiles: &profiles,
         stream: &stream,
         swap: None,
-        shards: &[],
+        shards: &[1],
         threads: &[1, 4],
         kernels: &[KernelConfig::Dense, sparse],
         modes: &[ScoringMode::ExactWindows, ScoringMode::Incremental],
@@ -372,7 +372,7 @@ fn attack_and_ca_corpora_hold_the_verdict_contract() {
         stream: &stream,
         swap: Some((stream.len() / 2, "banking", &banking_v2)),
         shards: &[1, 2, 4, 8],
-        threads: &[2],
+        threads: &[1, 2],
         kernels: &[sparse],
         modes: &[ScoringMode::Incremental],
         queue_capacity: RuntimeConfig::default().queue_capacity,

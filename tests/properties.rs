@@ -204,7 +204,7 @@ proptest! {
             profiles: &[("prop", profile)],
             stream: &stream,
             swap: None,
-            shards: &[],
+            shards: &[1],
             threads: &[1, 4],
             kernels: &[KernelConfig::Dense, KernelConfig::Sparse { sparse: SparseConfig::default() }],
             modes: &[ScoringMode::ExactWindows, ScoringMode::Incremental],

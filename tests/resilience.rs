@@ -8,8 +8,8 @@
 use adprom::analysis::analyze;
 use adprom::core::resilience::sites;
 use adprom::core::{
-    build_profile, ConstructorConfig, FaultInjector, FaultKind, FaultPlan, Health, MonitorRuntime,
-    Profile, ProfileRegistry, RuntimeConfig, SessionEnd, SessionReport, Trigger,
+    build_profile, ConstructorConfig, FaultInjector, FaultKind, FaultPlan, Health, Profile,
+    ProfileRegistry, RuntimeConfig, SessionEnd, SessionReport, ShardedMonitor, Trigger,
 };
 use adprom::hmm::Hmm;
 use adprom::obs::{AuditLog, AuditRecord, AuditSink, DurableAuditSink, Registry};
@@ -97,7 +97,7 @@ fn monitor_batch(
     registry: &Registry,
     faults: &FaultInjector,
 ) -> Vec<SessionReport> {
-    let mut runtime = MonitorRuntime::new(Arc::clone(profiles))
+    let mut runtime = ShardedMonitor::new(Arc::clone(profiles), 1)
         .with_config(RuntimeConfig {
             max_sessions: 0,
             queue_capacity: 0,

@@ -1,18 +1,19 @@
-//! The MonitorRuntime equivalence contract, end to end: an interleaved
+//! The monitor's equivalence contract, end to end: an interleaved
 //! multi-app, multi-session stream — including a mid-stream profile
-//! hot-swap — must produce, at any thread count, exactly the per-session
-//! verdicts of scoring each de-interleaved trace in isolation against the
-//! profile epoch the session was pinned to. Plus regression pins for audit
-//! sequence determinism under injected faults and for eviction determinism
-//! across thread counts.
+//! hot-swap — must produce, at any shard and thread count, exactly the
+//! per-session verdicts of scoring each de-interleaved trace in isolation
+//! against the profile epoch the session was pinned to, with one gapless
+//! audit trail under injected faults. Plus regression pins for audit
+//! sequence determinism under injected faults and for eviction
+//! determinism across thread counts.
 
 mod fixtures;
 mod oracle;
 
 use adprom::core::resilience::sites;
 use adprom::core::{
-    FaultKind, FaultPlan, KernelConfig, MonitorRuntime, OverloadConfig, Profile, ProfileRegistry,
-    RuntimeConfig, ScoringMode, SessionEnd, Trigger, WindowScorer,
+    FaultKind, FaultPlan, KernelConfig, OverloadConfig, Profile, ProfileRegistry, RuntimeConfig,
+    ScoringMode, SessionEnd, ShardedMonitor, Trigger, WindowScorer,
 };
 use adprom::hmm::SparseConfig;
 use adprom::obs::{AuditLog, MemoryAuditSink, Registry};
@@ -33,15 +34,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole contract, through the verdict oracle. For every random
-    /// interleaving, swap point, kernel, scoring mode and thread count
-    /// ∈ {1, 4, 8}, with queue bound 3 forcing many mid-stream flushes:
+    /// interleaving, swap point, kernel, scoring mode, shard count
+    /// ∈ {1, 3} and thread count ∈ {1, 4, 8}, with queue bound 3 forcing
+    /// many mid-stream flushes:
     /// each session's alerts are bit-identical to scanning its
     /// de-interleaved trace alone against the profile epoch pinned at its
     /// first event — epoch 1 before the mid-stream hot-swap, epoch 2
     /// after. The swapped-in epoch either moves only the threshold or
     /// rewires the transition matrix, so a window-score memo shared across
     /// epochs would show. Worker panics keyed by session arrival and queue
-    /// overflows every k-th event change no verdict.
+    /// overflows every k-th event change no verdict and leave one audit
+    /// row per alarm.
     #[test]
     fn interleaved_runtime_matches_isolated_scans_across_threads_and_swap(
         sessions in arb_sessions(1..4),
@@ -74,7 +77,7 @@ proptest! {
             ],
             stream: &stream,
             swap: Some((stream.len() * swap_pct / 100, "bank", &bank_v2)),
-            shards: &[],
+            shards: &[1, 3],
             threads: &[1, 4, 8],
             kernels: &[KernelConfig::Dense, KernelConfig::Sparse { sparse: SparseConfig::default() }],
             modes: &[ScoringMode::ExactWindows, ScoringMode::Incremental],
@@ -139,7 +142,7 @@ fn runtime_audit_sequence_is_deterministic_under_faults_and_threads() {
                 Trigger::OnceForKeys([1u64].into()),
             )
             .arm();
-        let mut runtime = MonitorRuntime::new(Arc::new(registry))
+        let mut runtime = ShardedMonitor::new(Arc::new(registry), 1)
             .with_threads(threads)
             .with_registry(&obs)
             .with_audit(audit)
@@ -229,7 +232,7 @@ fn memo_is_isolated_per_epoch_and_serves_repeats_at_any_thread_count() {
             .unwrap();
         let profiles = Arc::new(registry);
         let obs = Registry::new();
-        let mut runtime = MonitorRuntime::new(Arc::clone(&profiles))
+        let mut runtime = ShardedMonitor::new(Arc::clone(&profiles), 1)
             .with_threads(threads)
             .with_registry(&obs)
             .with_config(RuntimeConfig {
@@ -305,7 +308,7 @@ fn eviction_under_pressure_is_thread_count_independent() {
         registry
             .register("bank", cyclic_profile("bank", -5.0))
             .unwrap();
-        let mut runtime = MonitorRuntime::new(Arc::new(registry))
+        let mut runtime = ShardedMonitor::new(Arc::new(registry), 1)
             .with_threads(threads)
             .with_config(RuntimeConfig {
                 max_sessions: 2,
