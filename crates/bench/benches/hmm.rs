@@ -3,7 +3,7 @@
 //! cost unit behind Table VIII and the clustering ablation).
 
 use adprom_hmm::{
-    forward, log_likelihood, log_likelihood_sparse, reestimate, scan_scores, train, viterbi, Hmm,
+    forward, log_likelihood, log_likelihood_sparse, reestimate, train, viterbi, Hmm, SlidingState,
     SparseConfig, SparseTransitions, TrainConfig,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -39,7 +39,7 @@ fn bench_forward(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full per-window forward recompute vs the incremental SlidingForward
+/// Full per-window forward recompute vs the incremental `SlidingState`
 /// scorer over the same 15-length windows of one long trace — the
 /// O(n·N²) vs O(N²) per-event comparison behind the batched pipeline.
 fn bench_sliding(c: &mut Criterion) {
@@ -61,7 +61,16 @@ fn bench_sliding(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
             b.iter(|| {
-                let total: f64 = scan_scores(&hmm, &obs, WINDOW).iter().sum();
+                // One push per event; the score of each full window is
+                // the one its last event's push returns.
+                let mut sliding = SlidingState::new(n, WINDOW);
+                let total: f64 = obs
+                    .iter()
+                    .enumerate()
+                    .map(|(t, &symbol)| (t, sliding.push(&hmm, None, symbol)))
+                    .filter(|&(t, _)| t + 1 >= WINDOW)
+                    .map(|(_, score)| score)
+                    .sum();
                 black_box(total)
             })
         });

@@ -10,7 +10,7 @@ use adprom_core::{
     build_profile, trace_windows, ConstructorConfig, DetectionEngine, FailPoint, FaultKind,
     FaultPlan, ForensicsConfig, ProfileRegistry, RuntimeConfig, ShardedMonitor, Trigger,
 };
-use adprom_hmm::{score_windows_batch, F32Kernel, SparseConfig, SparseTransitions};
+use adprom_hmm::{score_windows_batch, SparseConfig, SparseTransitions};
 use adprom_obs::Registry;
 use adprom_trace::{interleave, TaggedCall};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -171,12 +171,11 @@ fn bench_forensics_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch-width sweep over the batched scoring kernels: the same window
+/// Batch-width sweep over the batched scoring kernel: the same window
 /// set scored in chunks of k ∈ {1, 4, 16, 64}. Per-lane scores are
 /// bit-identical at every width (DESIGN.md §15), so the only thing that
 /// moves is cache reuse of the shared transition structure — widening
-/// from k=1 should show it directly in the criterion history, for the
-/// exact f64 kernel and the f32 fast path alike.
+/// from k=1 should show it directly in the criterion history.
 fn bench_batch_width(c: &mut Criterion) {
     let workload = adprom_workloads::hospital::workload(15, 9);
     let analysis = analyze(&workload.program);
@@ -191,7 +190,6 @@ fn bench_batch_width(c: &mut Criterion) {
         .collect();
     let lanes: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
     let sp = SparseTransitions::from_hmm(&profile.hmm, &SparseConfig::default());
-    let fk = F32Kernel::from_sparse(&profile.hmm, &sp);
 
     let mut group = c.benchmark_group("batch_width");
     for k in [1usize, 4, 16, 64] {
@@ -200,16 +198,6 @@ fn bench_batch_width(c: &mut Criterion) {
                 let mut acc = 0.0f64;
                 for chunk in lanes.chunks(k) {
                     let out = score_windows_batch(&profile.hmm, &sp, black_box(chunk), false);
-                    acc += out.scores.iter().sum::<f64>();
-                }
-                black_box(acc)
-            })
-        });
-        group.bench_function(format!("f32/k{k}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0f64;
-                for chunk in lanes.chunks(k) {
-                    let out = fk.score_windows_batch(black_box(chunk), false);
                     acc += out.scores.iter().sum::<f64>();
                 }
                 black_box(acc)

@@ -235,15 +235,6 @@ impl DetectionEngine {
         self
     }
 
-    /// Selects the scoring precision (see
-    /// [`WindowScorer::with_precision`]): `F32Verified` scores sparse
-    /// windows in f32 and rescores anything within the guard band of the
-    /// threshold in f64, so flags match the pure-f64 engine.
-    pub fn with_precision(mut self, precision: adprom_hmm::Precision) -> DetectionEngine {
-        self.scorer = self.scorer.with_precision(precision);
-        self
-    }
-
     /// Registers metric handles against `registry` (window counts, flag
     /// counters, score latency).
     pub fn with_registry(mut self, registry: &Registry) -> DetectionEngine {
@@ -310,15 +301,6 @@ impl DetectionEngine {
     /// Classifies one window of events.
     pub fn classify(&self, events: &[CallEvent]) -> Alert {
         self.scorer.classify(events, &self.session)
-    }
-
-    /// Classifies a window whose log-likelihood was computed externally —
-    /// the hook for reusing the flag logic with
-    /// [`adprom_hmm::SlidingForward`] scores instead of a full per-window
-    /// forward pass.
-    pub fn classify_with_ll(&self, events: &[CallEvent], log_likelihood: f64) -> Alert {
-        self.scorer
-            .classify_with_ll(events, log_likelihood, &self.session)
     }
 
     /// Feeds a finished alert through the instrumentation — the window
@@ -461,32 +443,6 @@ mod tests {
             event("c_Q7", "main"),
         ];
         assert_eq!(engine.verdict(&events), Flag::OutOfContext);
-    }
-
-    #[test]
-    fn classify_with_ll_matches_classify_given_same_score() {
-        let profile = cyclic_profile();
-        let engine = DetectionEngine::new(&profile);
-        for window in [
-            vec![
-                event("a", "main"),
-                event("b", "main"),
-                event("c_Q7", "main"),
-            ],
-            vec![event("b", "main"), event("a", "main"), event("a", "main")],
-            vec![
-                event("a", "main"),
-                event("b", "attacker_function"),
-                event("c_Q7", "main"),
-            ],
-        ] {
-            let names: Vec<String> = window.iter().map(|e| e.name.to_string()).collect();
-            let ll = engine.score(&names);
-            assert_eq!(
-                engine.classify(&window),
-                engine.classify_with_ll(&window, ll)
-            );
-        }
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub mod telemetry;
 pub mod threshold;
 pub mod wire;
 
-pub use adprom_hmm::Precision;
 pub use alphabet::{Alphabet, UNKNOWN};
 pub use baselines::{build_cmarkov, build_rand_hmm, strip_ctm, strip_label, strip_trace};
 pub use constructor::{build_profile, trace_windows, BuildReport, ConstructorConfig};

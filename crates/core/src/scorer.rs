@@ -22,8 +22,8 @@ use crate::detect::{Alert, Flag, KernelConfig, KernelState};
 use crate::profile::Profile;
 use crate::telemetry::{audit_record_from_alert, DetectMetrics};
 use adprom_hmm::{
-    log_likelihood, log_likelihood_sparse, score_windows_batch as sparse_windows_batch,
-    step_scores, step_scores_sparse, F32Kernel, Precision, SlidingState, SlidingStats, StepScores,
+    log_likelihood, log_likelihood_sparse, score_windows_batch, step_scores, step_scores_sparse,
+    SlidingState, SlidingStats, StepScores, LANE_CAP,
 };
 use adprom_obs::{AuditLog, DeviantTransition, ForensicReport, Registry, WindowTrace};
 use adprom_trace::CallEvent;
@@ -72,8 +72,9 @@ impl Default for ForensicsConfig {
 }
 
 /// Unified kernel reporting: which kernel was asked for, which is scoring,
-/// and the precision and batch width it scores with. One struct serves
-/// session reports, audit records and the benchmark's kernel line.
+/// and the precision and batch width it scores with. Session reports and
+/// the benchmark's kernel line carry it; audit records carry only the
+/// effective kernel's label.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStatus {
     /// The kernel the caller configured (`dense` or `sparse`).
@@ -82,10 +83,8 @@ pub struct KernelStatus {
     /// whose CSR fails validation is rejected at registration, never
     /// downgraded.
     pub effective: String,
-    /// Scoring precision in force: `f64`, or `f32-verified` when a
-    /// standalone scorer runs the guard-banded f32 fast path (sparse
-    /// kernel only, see [`WindowScorer::with_precision`]). Registry epochs,
-    /// and so every runtime, always score in `f64`.
+    /// Scoring precision: always `f64` — every kernel scores in double
+    /// precision.
     pub precision: String,
     /// Widest window-batch the scorer's batched paths hand the kernel in
     /// one pass; `1` means windows are scored one at a time.
@@ -162,13 +161,6 @@ pub(crate) struct TierStamp {
     pub(crate) escalation: Option<String>,
 }
 
-/// Lane cap for the internally batched scoring paths ([`WindowScorer::scan`],
-/// [`SessionScorer::push_facts`] in exact mode): window batches are chunked
-/// to this many lanes so the kernel's lane-major scratch
-/// (`2 × n_states × lanes` values) stays L1/L2-resident for paper-scale
-/// models while still amortizing each pass over the transition structure.
-pub(crate) const MAX_BATCH_LANES: usize = 32;
-
 /// Human-readable explanation for an alert, from the window facts that
 /// decided its flag — `(name, caller)` of the first out-of-context event
 /// and the first DDG-labeled call name. Every scoring path shares this
@@ -205,17 +197,11 @@ pub struct WindowScorer {
     kernel: KernelState,
     /// Requested/effective kernel, precision and batch width.
     status: KernelStatus,
-    /// Scoring precision policy (pure f64 by default).
-    precision: Precision,
-    /// The f32 mirror of the sparse kernel, built only while
-    /// [`Precision::F32Verified`] is in force over a sparse kernel.
-    fast: Option<Arc<F32Kernel>>,
     /// Metric handles (no-ops unless a registry installed live ones).
     metrics: DetectMetrics,
-    /// Audit log for non-Normal detections, if any. Paths that need
-    /// deterministic sequence numbers under parallelism (the batch
-    /// detector, the monitor runtime) leave this unset and audit
-    /// post-hoc in input order instead.
+    /// Audit log for non-Normal detections, if any. The monitor, which
+    /// needs deterministic sequence numbers under parallelism, leaves
+    /// this unset and audits at its serial commit, in arrival order.
     audit: Option<Arc<AuditLog>>,
 }
 
@@ -229,8 +215,6 @@ impl WindowScorer {
             threshold,
             kernel: KernelState::Dense,
             status: KernelStatus::default(),
-            precision: Precision::F64,
-            fast: None,
             metrics: DetectMetrics::disabled(),
             audit: None,
         }
@@ -240,11 +224,9 @@ impl WindowScorer {
     /// profile when `config` needs one (unvalidated — the trusted-profile
     /// path; [`ProfileRegistry::register`](crate::registry::ProfileRegistry::register)
     /// is the validated one).
-    pub fn with_kernel(mut self, config: KernelConfig) -> WindowScorer {
-        self.kernel = KernelState::build(config, &self.profile);
-        self.status = KernelStatus::in_force(config.label());
-        self.rebuild_fast();
-        self
+    pub fn with_kernel(self, config: KernelConfig) -> WindowScorer {
+        let kernel = KernelState::build(config, &self.profile);
+        self.with_kernel_state(kernel, KernelStatus::in_force(config.label()))
     }
 
     /// Installs an already-resolved kernel with its status — how a
@@ -255,50 +237,15 @@ impl WindowScorer {
         kernel: KernelState,
         status: KernelStatus,
     ) -> WindowScorer {
+        self.status = KernelStatus {
+            batch_width: match &kernel {
+                KernelState::Sparse(_) => LANE_CAP as u32,
+                KernelState::Dense => 1,
+            },
+            ..status
+        };
         self.kernel = kernel;
-        self.status = status;
-        self.rebuild_fast();
         self
-    }
-
-    /// Selects the scoring precision. [`Precision::F32Verified`] arms the
-    /// f32 fast path over sparse kernels: windows score in f32, and any
-    /// window whose f32 score lands within `guard_band` nats of the
-    /// threshold — or comes out non-finite — is rescored in f64, so the
-    /// emitted flags match the pure-f64 path whenever the true f32↔f64
-    /// score gap stays under the band (measured ≈ 1e-4 nats on
-    /// paper-scale profiles, against a 0.25-nat default band;
-    /// `crates/core/tests/precision_flags.rs` pins this). The dense kernel
-    /// has no f32 mirror and transparently keeps scoring in f64, which
-    /// [`KernelStatus::precision`] reports. Library code for standalone
-    /// scorers: registry epochs, and so the runtimes, score in f64.
-    pub fn with_precision(mut self, precision: Precision) -> WindowScorer {
-        self.precision = precision;
-        self.rebuild_fast();
-        self
-    }
-
-    /// (Re)derives the f32 fast kernel and the status's precision /
-    /// batch-width report from the current kernel + precision pair.
-    /// Called by every builder that changes either, so builder order
-    /// doesn't matter.
-    fn rebuild_fast(&mut self) {
-        self.fast = match (self.precision, &self.kernel) {
-            (Precision::F32Verified { .. }, KernelState::Sparse(sp)) => {
-                Some(Arc::new(F32Kernel::from_sparse(&self.profile.hmm, sp)))
-            }
-            _ => None,
-        };
-        self.status.precision = if self.fast.is_some() {
-            self.precision.label()
-        } else {
-            Precision::F64.label()
-        }
-        .to_string();
-        self.status.batch_width = match &self.kernel {
-            KernelState::Sparse(_) => MAX_BATCH_LANES as u32,
-            _ => 1,
-        };
     }
 
     /// Registers metric handles against `registry`.
@@ -337,11 +284,6 @@ impl WindowScorer {
     /// Requested/effective kernel, precision and batch width.
     pub fn status(&self) -> &KernelStatus {
         &self.status
-    }
-
-    /// The scoring precision policy in force.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The resolved kernel (shared CSR handle).
@@ -388,109 +330,38 @@ impl WindowScorer {
         self.score_encoded(&encoded)
     }
 
-    /// Scores `k` same-profile, same-length windows in one pass over the
-    /// transition structure — the batch API. Scores are identical to
-    /// calling [`WindowScorer::score`] once per window: the batched
-    /// sparse kernel is bit-identical per lane at any batch width, and
-    /// the f32-verified fast path is batch-width independent, so batching
-    /// is purely a cache-reuse optimization. Windows of mixed lengths
-    /// must be scored individually (the kernel asserts equal lengths).
-    pub fn score_windows_batch(&self, windows: &[Vec<String>]) -> Vec<f64> {
-        let encoded: Vec<Vec<usize>> = windows
-            .iter()
-            .map(|w| self.profile.alphabet.encode_seq(w))
-            .collect();
-        let lanes: Vec<&[usize]> = encoded.iter().map(Vec::as_slice).collect();
-        self.score_batch_encoded(&lanes)
-    }
-
-    /// [`WindowScorer::score_windows_batch`] over already-encoded windows.
-    /// The sparse kernel scores all lanes in one pass — in f32 with
-    /// guard-band f64 rescoring under [`Precision::F32Verified`]; the
-    /// dense kernel scores lane by lane through the scalar dispatch, so
-    /// every caller batches through this one entry point regardless of
+    /// Scores already-encoded, same-length windows, in input order. The
+    /// sparse kernel scores them in passes of up to [`LANE_CAP`] lanes
+    /// ([`adprom_hmm::score_windows_batch`]; each lane is bit-identical to
+    /// scoring its window alone), the dense kernel one window at a time,
+    /// so every caller batches through this one entry point whatever the
     /// kernel.
     pub(crate) fn score_batch_encoded(&self, windows: &[&[usize]]) -> Vec<f64> {
-        if windows.is_empty() {
-            return Vec::new();
-        }
         match &self.kernel {
             KernelState::Sparse(sp) => {
                 self.metrics.batch_windows.add(windows.len() as u64);
-                let (Precision::F32Verified { guard_band }, Some(fast)) =
-                    (self.precision, &self.fast)
-                else {
-                    return sparse_windows_batch(&self.profile.hmm, sp, windows, false).scores;
-                };
-                let mut scores = fast.score_windows_batch(windows, false).scores;
-                let mut rescored = 0u64;
-                for (s, window) in scores.iter_mut().zip(windows) {
-                    if s.is_finite() && (*s - self.threshold).abs() > guard_band {
-                        continue;
-                    }
-                    // Guard-band hit (or non-finite score): the f64 kernel
-                    // decides this window.
-                    rescored += 1;
-                    *s = log_likelihood_sparse(&self.profile.hmm, sp, window);
-                }
-                self.metrics
-                    .f32_windows
-                    .add(windows.len() as u64 - rescored);
-                self.metrics.f32_rescored.add(rescored);
-                scores
+                score_windows_batch(&self.profile.hmm, sp, windows, false).scores
             }
             KernelState::Dense => windows.iter().map(|w| self.score_encoded(w)).collect(),
         }
     }
 
-    /// [`WindowScorer::score_batch_encoded`] over any number of windows,
-    /// in passes of at most [`MAX_BATCH_LANES`] lanes, concatenated in
-    /// input order.
-    fn score_lane_capped(&self, windows: &[&[usize]]) -> Vec<f64> {
-        windows
-            .chunks(MAX_BATCH_LANES)
-            .flat_map(|lanes| self.score_batch_encoded(lanes))
-            .collect()
-    }
-
     /// [`WindowScorer::score`] for an already-encoded window — trace
     /// scanners encode each trace once and score slices of it, so the
-    /// per-window cost is only the forward recursion itself. Under
-    /// [`Precision::F32Verified`] the sparse kernel's f32 mirror scores
-    /// first; the per-lane f32 result is batch-width independent, so this
-    /// scalar path stays bit-identical to the batched one.
+    /// per-window cost is only the forward recursion itself.
     fn score_encoded(&self, encoded: &[usize]) -> f64 {
-        if let (Precision::F32Verified { guard_band }, Some(fast), KernelState::Sparse(sp)) =
-            (self.precision, &self.fast, &self.kernel)
-        {
-            let s = fast.score_windows_batch(&[encoded], false).scores[0];
-            if s.is_finite() && (s - self.threshold).abs() > guard_band {
-                self.metrics.f32_windows.inc();
-                return s;
-            }
-            self.metrics.f32_rescored.inc();
-            return log_likelihood_sparse(&self.profile.hmm, sp, encoded);
-        }
         match &self.kernel {
             KernelState::Dense => log_likelihood(&self.profile.hmm, encoded),
             KernelState::Sparse(sp) => log_likelihood_sparse(&self.profile.hmm, sp, encoded),
         }
     }
 
-    /// Kernel-matched per-step score attribution for one window of call
-    /// names: `steps[t] = ln P(o_t | o_0..o_{t-1}, λ)`, the exact factors
-    /// of the window's log-likelihood under the configured kernel. The
-    /// factors sum (left to right) bitwise to
-    /// [`WindowScorer::score`] of the same window, so an alert's deficit
-    /// can be charged to individual call transitions without a second
-    /// scoring model.
-    pub fn attribution(&self, names: &[String]) -> StepScores {
-        let encoded = self.profile.alphabet.encode_seq(names);
-        self.attribution_encoded(&encoded)
-    }
-
-    /// [`WindowScorer::attribution`] for an already-encoded window, with
-    /// no metric side effects — the diagnostic path.
+    /// Kernel-matched per-step score attribution for one encoded window:
+    /// `steps[t] = ln P(o_t | o_0..o_{t-1}, λ)`, the exact factors of the
+    /// window's log-likelihood under the configured kernel. The factors
+    /// sum (left to right) bitwise to the window's score, so an alert's
+    /// deficit can be charged to individual call transitions without a
+    /// second scoring model. No metric side effects — the diagnostic path.
     pub(crate) fn attribution_encoded(&self, encoded: &[usize]) -> StepScores {
         match &self.kernel {
             KernelState::Dense => step_scores(&self.profile.hmm, encoded),
@@ -512,29 +383,6 @@ impl WindowScorer {
                 .score_ns
                 .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        self.classify_scored(events, names, ll, session)
-    }
-
-    /// Classifies a window whose log-likelihood was computed externally —
-    /// the hook for reusing the flag logic with [`SlidingState`] scores
-    /// instead of a full per-window forward pass.
-    pub fn classify_with_ll(
-        &self,
-        events: &[CallEvent],
-        log_likelihood: f64,
-        session: &str,
-    ) -> Alert {
-        let names: Vec<String> = events.iter().map(|e| e.name.to_string()).collect();
-        self.classify_scored(events, names, log_likelihood, session)
-    }
-
-    fn classify_scored(
-        &self,
-        events: &[CallEvent],
-        names: Vec<String>,
-        ll: f64,
-        session: &str,
-    ) -> Alert {
         // Per-window facts first, then the shared precedence rule
         // ([`Flag::classify`]) decides the flag.
         let ooc = events
@@ -607,13 +455,12 @@ impl WindowScorer {
         let labeled: Vec<bool> = names.iter().map(|name| name.contains("_Q")).collect();
         let total = events.len() - n + 1;
         let mut alerts = Vec::with_capacity(total);
-        // Windows go to the kernel in lane-capped batches: one pass over
-        // the transition structure scores up to MAX_BATCH_LANES adjacent
-        // windows (scores identical to scoring each alone — see
-        // [`WindowScorer::score_windows_batch`]).
+        // Windows go to the kernel in chunks of LANE_CAP adjacent windows,
+        // one sparse pass over the transition structure each (scores
+        // identical to scoring each window alone).
         let mut first = 0usize;
         while first < total {
-            let k = MAX_BATCH_LANES.min(total - first);
+            let k = LANE_CAP.min(total - first);
             let lanes: Vec<&[usize]> = (first..first + k).map(|s| &encoded[s..s + n]).collect();
             let timer = self.metrics.score_ns.is_enabled().then(Instant::now);
             let scores = self.score_batch_encoded(&lanes);
@@ -745,8 +592,7 @@ impl WindowScorer {
 
 /// Scores `windows` through a flush-start memo snapshot: hits read
 /// `memo`, a repeat within this replay reuses its first score, and only
-/// the distinct missing windows reach the kernel — lane-capped, in
-/// first-seen order. `keys[i]` is `windows[i]` as memo key. The missing
+/// the distinct missing windows reach the kernel — in first-seen order. `keys[i]` is `windows[i]` as memo key. The missing
 /// windows and their scores land in `delta.fresh`; `memo` itself is never
 /// written here.
 fn score_memoized(
@@ -778,7 +624,7 @@ fn score_memoized(
     }
     delta.misses = lanes.len() as u64;
     delta.hits = (windows.len() - lanes.len()) as u64;
-    delta.fresh.scores = scorer.score_lane_capped(&lanes);
+    delta.fresh.scores = scorer.score_batch_encoded(&lanes);
     for (&i, lane) in missing.iter().zip(lane_of) {
         scores[i] = delta.fresh.scores[lane];
     }
@@ -1193,7 +1039,7 @@ impl SessionScorer {
     /// to `out` — the one way a session is fed. Alerts do not depend on
     /// how a stream is cut into batches: one fact per call emits what one
     /// call with every fact does. Exact mode hands every window that
-    /// completes during the batch to the kernel in lane-capped passes
+    /// completes during the batch to the kernel in one call
     /// ([`WindowScorer::score_batch_encoded`]), which is how multiplexed
     /// sessions sharing an app profile batch naturally — the scores are
     /// identical to scoring each window alone.
@@ -1241,7 +1087,7 @@ impl SessionScorer {
                             .collect();
                         score_memoized(scorer, &windows, &keys, memo, &mut delta)
                     }
-                    None => scorer.score_lane_capped(&windows),
+                    None => scorer.score_batch_encoded(&windows),
                 };
                 if let Some(t0) = timer {
                     // One sample per window, carrying the replay's

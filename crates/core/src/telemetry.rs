@@ -37,15 +37,9 @@ pub struct DetectMetrics {
     /// CSR kernel.
     pub kernel_sparse: Counter,
     /// `detect.kernel.batch_windows` — windows scored through the batched
-    /// sparse kernel (any precision); `windows_scored` minus this is the
-    /// lane-by-lane remainder (dense kernel, short windows).
+    /// sparse kernel; `windows_scored` minus this is the lane-by-lane
+    /// remainder (dense kernel, short windows).
     pub batch_windows: Counter,
-    /// `detect.kernel.f32_windows` — windows whose f32 fast-path score was
-    /// accepted (landed outside the guard band around the threshold).
-    pub f32_windows: Counter,
-    /// `detect.kernel.f32_rescored` — windows rescored in f64 because the
-    /// f32 score landed inside the guard band (or was non-finite).
-    pub f32_rescored: Counter,
     /// `monitor.tier.full.windows` — windows emitted by tier-armed
     /// sessions while assigned the full-incremental tier.
     pub tier_full_windows: Counter,
@@ -80,8 +74,6 @@ impl DetectMetrics {
             kernel_dense: registry.counter("detect.kernel.dense"),
             kernel_sparse: registry.counter("detect.kernel.sparse"),
             batch_windows: registry.counter("detect.kernel.batch_windows"),
-            f32_windows: registry.counter("detect.kernel.f32_windows"),
-            f32_rescored: registry.counter("detect.kernel.f32_rescored"),
             tier_full_windows: registry.counter("monitor.tier.full.windows"),
             tier_spot_windows: registry.counter("monitor.tier.spot.windows"),
             tier_spot_skipped: registry.counter("monitor.tier.spot.skipped"),

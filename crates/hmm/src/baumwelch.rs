@@ -8,7 +8,6 @@
 
 use crate::forward::{backward, forward, ForwardPass};
 use crate::model::{normalize, Hmm};
-use crate::sparse::{backward_sparse, forward_sparse, SparseConfig, SparseTransitions};
 use rayon::prelude::*;
 
 /// Training configuration.
@@ -33,13 +32,6 @@ pub struct TrainConfig {
     /// result is bit-identical to the serial path regardless of thread
     /// count (see `fold_sequence_stats`).
     pub parallel: bool,
-    /// Route E-step forward/backward/ξ inner loops through the CSR kernel
-    /// ([`SparseTransitions`], rebuilt from the model each iteration).
-    /// Equivalent to the dense path up to FP reassociation (~1e-12); the
-    /// ξ numerator's background term stays dense for smoothed rows, so the
-    /// win is a constant factor (~the forward/backward/normalizer share)
-    /// rather than full O(nnz) unless the model has true zero rows.
-    pub sparse: bool,
 }
 
 impl Default for TrainConfig {
@@ -50,7 +42,6 @@ impl Default for TrainConfig {
             smoothing: 1e-6,
             prior_weight: 2.0,
             parallel: true,
-            sparse: false,
         }
     }
 }
@@ -142,8 +133,8 @@ pub fn reestimate(hmm: &mut Hmm, seqs: &[Vec<usize>], smoothing: f64) {
 }
 
 /// One MAP-EM re-estimation step: expected counts plus `weight`
-/// pseudo-counts per row distributed according to `prior`. Serial, dense —
-/// equivalent to [`reestimate_with_config`] with `parallel`/`sparse` off.
+/// pseudo-counts per row distributed according to `prior`. Serial —
+/// equivalent to [`reestimate_with_config`] with `parallel` off.
 pub fn reestimate_with_prior(
     hmm: &mut Hmm,
     seqs: &[Vec<usize>],
@@ -153,7 +144,6 @@ pub fn reestimate_with_prior(
     let config = TrainConfig {
         smoothing,
         parallel: false,
-        sparse: false,
         ..TrainConfig::default()
     };
     reestimate_with_config(hmm, seqs, prior, &config);
@@ -213,28 +203,18 @@ const ESTEP_BATCH: usize = 32;
 /// Expected counts for one trace under the current model, or `None` if the
 /// trace is empty or impossible (smoothing at the end of the step
 /// gradually opens such paths).
-fn sequence_stats(
-    hmm: &Hmm,
-    sparse: Option<&SparseTransitions>,
-    obs: &[usize],
-) -> Option<SequenceStats> {
+fn sequence_stats(hmm: &Hmm, obs: &[usize]) -> Option<SequenceStats> {
     let n = hmm.n_states();
     let m = hmm.n_symbols();
     let t_len = obs.len();
     if t_len == 0 {
         return None;
     }
-    let fp: ForwardPass = match sparse {
-        Some(sp) => forward_sparse(hmm, sp, obs),
-        None => forward(hmm, obs),
-    };
+    let fp: ForwardPass = forward(hmm, obs);
     if !fp.log_likelihood.is_finite() {
         return None;
     }
-    let beta = match sparse {
-        Some(sp) => backward_sparse(hmm, sp, obs, &fp.scale),
-        None => backward(hmm, obs, &fp.scale),
-    };
+    let beta = backward(hmm, obs, &fp.scale);
     let mut stats = SequenceStats::zeros(n, m);
 
     // gamma_t(i) ∝ alpha_t(i) * beta_t(i); with Rabiner scaling the
@@ -259,81 +239,36 @@ fn sequence_stats(
 
     // xi_t(i,j) ∝ alpha_t(i) a_ij b_j(o_{t+1}) beta_{t+1}(j).
     // Two passes per t — normalizer, then scatter straight into the
-    // accumulator — so no N×N buffer is materialized per step. The sparse
-    // kernel computes the normalizer in O(nnz + N) via the row identity
-    // Σ_j a_ij·bb_j = c_i·Σbb + Σ_nnz d_ij·bb_j; the scatter splits into
-    // an O(nnz) deviation part plus a dense background row-axpy (only for
-    // rows with a non-zero background — true-zero rows stay O(nnz)).
+    // accumulator — so no N×N buffer is materialized per step.
     let mut bb = vec![0.0f64; n];
     for t in 0..t_len.saturating_sub(1) {
         let next = obs[t + 1];
         for (j, b) in bb.iter_mut().enumerate() {
             *b = hmm.b(j, next) * beta[t + 1][j];
         }
-        match sparse {
-            Some(sp) => {
-                let bb_sum: f64 = bb.iter().sum();
-                let mut total = 0.0;
-                for (i, &ai) in fp.alpha[t].iter().enumerate() {
-                    if ai == 0.0 {
-                        continue;
-                    }
-                    let (cols, _, devs) = sp.row(i);
-                    let mut acc = sp.background(i) * bb_sum;
-                    for (c, d) in cols.iter().zip(devs) {
-                        acc += d * bb[*c as usize];
-                    }
-                    total += ai * acc;
-                }
-                if total > 0.0 {
-                    let inv = 1.0 / total;
-                    for (i, &alpha_i) in fp.alpha[t].iter().enumerate() {
-                        let ai = alpha_i * inv;
-                        if ai == 0.0 {
-                            continue;
-                        }
-                        let out = &mut stats.a_num[i * n..(i + 1) * n];
-                        let bg = sp.background(i);
-                        if bg > 0.0 {
-                            let w = ai * bg;
-                            for (o, &bbj) in out.iter_mut().zip(&bb) {
-                                *o += w * bbj;
-                            }
-                        }
-                        let (cols, _, devs) = sp.row(i);
-                        for (c, d) in cols.iter().zip(devs) {
-                            let j = *c as usize;
-                            out[j] += ai * d * bb[j];
-                        }
-                    }
-                }
+        let mut total = 0.0;
+        for (i, &ai) in fp.alpha[t].iter().enumerate() {
+            if ai == 0.0 {
+                continue;
             }
-            None => {
-                let mut total = 0.0;
-                for (i, &ai) in fp.alpha[t].iter().enumerate() {
-                    if ai == 0.0 {
-                        continue;
-                    }
-                    let row = hmm.a_row(i);
-                    let mut acc = 0.0;
-                    for (a_ij, b_beta) in row.iter().zip(&bb) {
-                        acc += a_ij * b_beta;
-                    }
-                    total += ai * acc;
+            let row = hmm.a_row(i);
+            let mut acc = 0.0;
+            for (a_ij, b_beta) in row.iter().zip(&bb) {
+                acc += a_ij * b_beta;
+            }
+            total += ai * acc;
+        }
+        if total > 0.0 {
+            let inv = 1.0 / total;
+            for (i, &alpha_i) in fp.alpha[t].iter().enumerate() {
+                let ai = alpha_i * inv;
+                if ai == 0.0 {
+                    continue;
                 }
-                if total > 0.0 {
-                    let inv = 1.0 / total;
-                    for (i, &alpha_i) in fp.alpha[t].iter().enumerate() {
-                        let ai = alpha_i * inv;
-                        if ai == 0.0 {
-                            continue;
-                        }
-                        let row = hmm.a_row(i);
-                        let out = &mut stats.a_num[i * n..(i + 1) * n];
-                        for ((o, &a_ij), &bbj) in out.iter_mut().zip(row).zip(&bb) {
-                            *o += ai * a_ij * bbj;
-                        }
-                    }
+                let row = hmm.a_row(i);
+                let out = &mut stats.a_num[i * n..(i + 1) * n];
+                for ((o, &a_ij), &bbj) in out.iter_mut().zip(row).zip(&bb) {
+                    *o += ai * a_ij * bbj;
                 }
             }
         }
@@ -341,10 +276,9 @@ fn sequence_stats(
     Some(stats)
 }
 
-/// One MAP-EM re-estimation step honoring the config's `parallel` and
-/// `sparse` switches. The parallel path is bit-identical to the serial
-/// path (per-trace statistics folded in input order, same batching); the
-/// sparse path matches dense up to FP reassociation.
+/// One MAP-EM re-estimation step honoring the config's `parallel`
+/// switch. The parallel path is bit-identical to the serial path
+/// (per-trace statistics folded in input order, same batching).
 pub fn reestimate_with_config(
     hmm: &mut Hmm,
     seqs: &[Vec<usize>],
@@ -354,10 +288,6 @@ pub fn reestimate_with_config(
     let n = hmm.n_states();
     let m = hmm.n_symbols();
     let smoothing = config.smoothing;
-    let sparse = config
-        .sparse
-        .then(|| SparseTransitions::from_hmm(hmm, &SparseConfig::default()));
-    let sp = sparse.as_ref();
 
     let mut acc = SequenceStats::zeros(n, m);
     let mut used_sequences = 0usize;
@@ -383,13 +313,10 @@ pub fn reestimate_with_config(
         let locals: Vec<Option<SequenceStats>> = if config.parallel {
             batch
                 .par_iter()
-                .map(|obs| sequence_stats(hmm, sp, obs))
+                .map(|obs| sequence_stats(hmm, obs))
                 .collect()
         } else {
-            batch
-                .iter()
-                .map(|obs| sequence_stats(hmm, sp, obs))
-                .collect()
+            batch.iter().map(|obs| sequence_stats(hmm, obs)).collect()
         };
         for stats in locals.into_iter().flatten() {
             used_sequences += 1;
@@ -590,43 +517,6 @@ mod tests {
             parallel.b_rows().collect::<Vec<_>>()
         );
         assert_eq!(serial.pi, parallel.pi);
-    }
-
-    #[test]
-    fn sparse_estep_matches_dense_within_tolerance() {
-        let train_set = dataset(30, 25, 800);
-        let mut init = Hmm::random(3, 3, 31);
-        init.smooth(1e-4);
-        let prior = init.clone();
-        let mut dense = init.clone();
-        let mut sparse = init.clone();
-        let base = TrainConfig {
-            parallel: false,
-            ..TrainConfig::default()
-        };
-        reestimate_with_config(&mut dense, &train_set, Some((&prior, 2.0)), &base);
-        reestimate_with_config(
-            &mut sparse,
-            &train_set,
-            Some((&prior, 2.0)),
-            &TrainConfig {
-                sparse: true,
-                ..base
-            },
-        );
-        for (dr, sr) in dense.a_rows().zip(sparse.a_rows()) {
-            for (d, s) in dr.iter().zip(sr) {
-                assert!((d - s).abs() < 1e-9, "{d} vs {s}");
-            }
-        }
-        for (dr, sr) in dense.b_rows().zip(sparse.b_rows()) {
-            for (d, s) in dr.iter().zip(sr) {
-                assert!((d - s).abs() < 1e-9);
-            }
-        }
-        for (d, s) in dense.pi.iter().zip(&sparse.pi) {
-            assert!((d - s).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -262,14 +262,6 @@ pub fn log_likelihood(hmm: &Hmm, obs: &[usize]) -> f64 {
     rolling_forward(hmm, obs, |_| {})
 }
 
-/// Per-symbol normalized log-likelihood, comparable across sequence lengths.
-pub fn normalized_log_likelihood(hmm: &Hmm, obs: &[usize]) -> f64 {
-    if obs.is_empty() {
-        return 0.0;
-    }
-    log_likelihood(hmm, obs) / obs.len() as f64
-}
-
 /// Runs the scaled backward pass using the forward pass's scale factors.
 /// Returns `beta[t][i]`.
 #[allow(clippy::needless_range_loop)] // dense recursions index several arrays in lock-step
@@ -425,16 +417,5 @@ mod tests {
         assert_eq!(scores.steps.len(), 2);
         assert!(scores.steps[0].is_finite());
         assert_eq!(scores.steps[1], f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn normalized_ll_comparable_across_lengths() {
-        let hmm = toy();
-        let short = hmm.sample(10, 3);
-        let long = hmm.sample(1000, 3);
-        let a = normalized_log_likelihood(&hmm, &short);
-        let b = normalized_log_likelihood(&hmm, &long);
-        // Same generating model: normalized scores are in the same ballpark.
-        assert!((a - b).abs() < 0.5, "{a} vs {b}");
     }
 }

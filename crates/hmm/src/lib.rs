@@ -10,16 +10,15 @@
 //! * **learning** — multi-sequence Baum–Welch ([`baumwelch`]) with held-out
 //!   (CSDS) convergence, used by the Profile Constructor.
 //!
-//! For monitoring at scale, [`sliding`] provides [`SlidingForward`]: an
+//! For monitoring at scale, [`sliding`] provides [`SlidingState`]: an
 //! incremental scorer that advances an n-length detection window by one
 //! event in O(N²) instead of recomputing the whole window, and [`sparse`]
 //! provides [`SparseTransitions`]: a CSR transition kernel that drops the
 //! per-event constant to O(nnz + N) — exactly for smoothed pCTM models via
-//! the background + deviation decomposition. [`batch`] layers a lane-major cross-window kernel on top
-//! ([`score_windows_batch`]): k same-profile windows scored in one pass
-//! over the transition structure, each lane bit-identical to the scalar
-//! kernel, with an f32 fast path ([`F32Kernel`], [`Precision`]) whose
-//! flags are verified against f64 near the decision threshold.
+//! the background + deviation decomposition. [`batch`] layers a
+//! lane-major cross-window kernel on top ([`score_windows_batch`]): up to
+//! [`LANE_CAP`] same-profile windows scored in one pass over the
+//! transition structure, each lane bit-identical to the scalar kernel.
 //!
 //! Models can be initialized randomly (the Rand-HMM baseline) or from the
 //! statically computed pCTM (done in `adprom-core`).
@@ -34,18 +33,16 @@ pub mod sliding;
 pub mod sparse;
 pub mod viterbi;
 
-pub use batch::{score_windows_batch, BatchScores, F32Kernel, Precision};
+pub use batch::{score_windows_batch, BatchScores, LANE_CAP};
 pub use baumwelch::{
     mean_log_likelihood, reestimate, reestimate_with_config, train, TrainConfig, TrainReport,
 };
 pub use forward::{
-    backward, dense_step, forward, log_likelihood, normalized_log_likelihood, step_scores,
-    ForwardPass, StepScores,
+    backward, dense_step, forward, log_likelihood, step_scores, ForwardPass, StepScores,
 };
 pub use model::{normalize, Hmm, HmmError};
-pub use sliding::{scan_scores, SlidingForward, SlidingState, SlidingStats};
+pub use sliding::{SlidingState, SlidingStats};
 pub use sparse::{
-    backward_sparse, forward_sparse, log_likelihood_sparse, step_scores_sparse, viterbi_sparse,
-    SparseConfig, SparseStats, SparseTransitions,
+    log_likelihood_sparse, step_scores_sparse, SparseConfig, SparseStats, SparseTransitions,
 };
 pub use viterbi::viterbi;

@@ -3,17 +3,15 @@
 //! The Detection Engine scores every n-length call window. Recomputing the
 //! scaled forward pass per window costs O(n·N²) per event; over a T-event
 //! trace that is O(T·n·N²) — the dominant monitoring cost the paper's
-//! overhead tables measure. [`SlidingForward`] brings the per-event cost to
-//! O(N²) by maintaining one running scaled alpha vector and a ring buffer
-//! of per-event log contributions.
+//! overhead tables measure. [`SlidingState`] brings the per-event cost to
+//! O(N²) — O(nnz + N) through a CSR kernel — by maintaining one running
+//! scaled alpha vector and a ring buffer of per-event log contributions.
 //!
-//! Two shapes are provided: [`SlidingForward`] borrows the model (and an
-//! optional CSR kernel) for the lifetime of a scan — the natural fit for
-//! one-shot trace scoring — while [`SlidingState`] owns only the mutable
-//! recurrence state and takes the model per push. The state form is what
-//! a session-multiplexing runtime needs: thousands of concurrent sessions
-//! keep a `SlidingState` each while sharing one `Arc`-held model, with no
-//! self-referential borrows.
+//! The state owns only the mutable recurrence and takes the model (and
+//! the optional kernel) per push. That is what a session-multiplexing
+//! runtime needs: thousands of concurrent sessions keep a `SlidingState`
+//! each while sharing one `Arc`-held model, with no self-referential
+//! borrows.
 //!
 //! # Recurrence
 //!
@@ -39,7 +37,7 @@
 //! # Impossible prefixes
 //!
 //! When an event has zero probability given the chain (`c_t = 0`), the
-//! telescoping chain breaks. [`SlidingForward::push`] then performs the
+//! telescoping chain breaks. [`SlidingState::push`] then performs the
 //! exact-recompute fallback: it re-anchors — restarting the chain at the
 //! offending event from π exactly as a fresh
 //! [`forward()`](crate::forward()) pass would — and records `-inf` as the
@@ -54,11 +52,11 @@ use crate::model::Hmm;
 use crate::sparse::SparseTransitions;
 
 /// Accounting for one sliding scorer's lifetime — the observability
-/// hook the batch pipeline surfaces as `sliding.reanchors` /
-/// `sliding.pushes` metrics.
+/// hook the monitor surfaces as `sliding.reanchors` / `sliding.pushes`
+/// metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SlidingStats {
-    /// Events pushed since construction (or the last [`SlidingForward::reset`]).
+    /// Events pushed since construction (or the last [`SlidingState::reset`]).
     pub pushes: u64,
     /// Exact-recompute fallbacks taken: the chain hit a zero-probability
     /// prefix and restarted from π. The initial anchoring of a fresh (or
@@ -66,9 +64,14 @@ pub struct SlidingStats {
     pub reanchors: u64,
 }
 
-/// The owned recurrence state of an incremental sliding-window scorer:
-/// everything [`SlidingForward`] maintains *except* the borrowed model
-/// and kernel, which [`SlidingState::push`] takes per call instead.
+/// Incremental scaled-forward scorer over a sliding window.
+///
+/// Feed events one at a time with [`push`](SlidingState::push); after
+/// each push, [`score`](SlidingState::score) is the log-likelihood of the
+/// current window (the last ≤ `window` events) under the conditional
+/// semantics documented at the module level. The state holds no
+/// reference to the model: `push` takes it, and the optional CSR kernel,
+/// per call.
 ///
 /// Clone-able and `'static`, so a monitoring runtime can keep one per
 /// live session, advance each independently, and snapshot/restore a
@@ -122,19 +125,27 @@ impl SlidingState {
     }
 
     /// Absolute index of the event the current forward chain starts at.
+    /// Stays 0 for smoothed (zero-free) models; advances only through the
+    /// impossible-prefix fallback.
     pub fn anchor(&self) -> usize {
         self.anchor
     }
 
-    /// Lifetime accounting: events pushed and re-anchor fallbacks taken.
+    /// Lifetime accounting: events pushed and re-anchor (exact-recompute)
+    /// fallbacks taken. Smoothed models never re-anchor, so
+    /// `stats().reanchors` stays 0 on the production profile path.
     pub fn stats(&self) -> SlidingStats {
         self.stats
     }
 
     /// Advances the window by one event and returns the score of the
-    /// window now ending at this event. `hmm` (and `kernel`, when one is
-    /// used) must be the same model on every push — the state is just the
-    /// recurrence, it holds no reference to check against.
+    /// window now ending at this event — equal to
+    /// [`score`](SlidingState::score). With a `kernel` the propagation
+    /// step runs through the CSR decomposition (O(nnz + N) instead of
+    /// O(N²)); built at `epsilon = 0` it matches the dense path to FP
+    /// reassociation. `hmm` (and `kernel`, when one is used) must be the
+    /// same model on every push — the state is just the recurrence, it
+    /// holds no reference to check against.
     pub fn push(&mut self, hmm: &Hmm, kernel: Option<&SparseTransitions>, symbol: usize) -> f64 {
         debug_assert_eq!(self.alpha.len(), hmm.n_states(), "state sized for model");
         let mut c = 0.0;
@@ -205,122 +216,11 @@ impl SlidingState {
     }
 }
 
-/// Incremental scaled-forward scorer over a sliding window.
-///
-/// Feed events one at a time with [`push`](SlidingForward::push); after
-/// each push, [`score`](SlidingForward::score) is the log-likelihood of
-/// the current window (the last ≤ `window` events) under the conditional
-/// semantics documented at the module level.
-///
-/// This is the borrow-carrying convenience wrapper over [`SlidingState`]:
-/// the model (and kernel) are captured once at construction instead of
-/// being passed per push.
-#[derive(Debug, Clone)]
-pub struct SlidingForward<'a> {
-    hmm: &'a Hmm,
-    /// Optional CSR kernel: the O(N²) propagation step becomes O(nnz + N).
-    kernel: Option<&'a SparseTransitions>,
-    state: SlidingState,
-}
-
-impl<'a> SlidingForward<'a> {
-    /// Creates a scorer for `window`-length windows. Panics if `window`
-    /// is 0.
-    pub fn new(hmm: &'a Hmm, window: usize) -> SlidingForward<'a> {
-        SlidingForward {
-            hmm,
-            kernel: None,
-            state: SlidingState::new(hmm.n_states(), window),
-        }
-    }
-
-    /// Routes the propagation step through a CSR kernel (O(nnz + N) per
-    /// push instead of O(N²)). The kernel must be built from the same
-    /// model; with `epsilon = 0` scores match the dense path to FP
-    /// reassociation.
-    pub fn with_kernel(mut self, kernel: &'a SparseTransitions) -> SlidingForward<'a> {
-        assert_eq!(
-            kernel.n_states(),
-            self.hmm.n_states(),
-            "kernel built for a different model"
-        );
-        self.kernel = Some(kernel);
-        self
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> usize {
-        self.state.window()
-    }
-
-    /// Number of events pushed so far.
-    pub fn seen(&self) -> usize {
-        self.state.seen()
-    }
-
-    /// Absolute index of the event the current forward chain starts at.
-    /// Stays 0 for smoothed (zero-free) models; advances only through the
-    /// impossible-prefix fallback.
-    pub fn anchor(&self) -> usize {
-        self.state.anchor()
-    }
-
-    /// Lifetime accounting: events pushed and re-anchor (exact-recompute)
-    /// fallbacks taken. Smoothed models never re-anchor, so
-    /// `stats().reanchors` stays 0 on the production profile path.
-    pub fn stats(&self) -> SlidingStats {
-        self.state.stats()
-    }
-
-    /// Advances the window by one event (O(N²)) and returns the score of
-    /// the window now ending at this event — equal to
-    /// [`score`](SlidingForward::score).
-    pub fn push(&mut self, symbol: usize) -> f64 {
-        self.state.push(self.hmm, self.kernel, symbol)
-    }
-
-    /// Log-likelihood of the current window: the sum of the retained
-    /// per-event contributions (the last `min(seen, window)` events).
-    /// Returns 0.0 before any event — matching `forward(hmm, &[])`.
-    pub fn score(&self) -> f64 {
-        self.state.score()
-    }
-
-    /// Clears all state (keeping the kernel), ready for a new trace.
-    pub fn reset(&mut self) {
-        self.state.reset();
-    }
-}
-
-/// Scores every sliding window of `obs` incrementally, returning one score
-/// per window (the same window set as
-/// [`forward()`](crate::forward())-per-window scanning: `len − n + 1`
-/// windows for `len > n`, one window otherwise, none for an empty
-/// trace).
-pub fn scan_scores(hmm: &Hmm, obs: &[usize], window: usize) -> Vec<f64> {
-    if obs.is_empty() {
-        return Vec::new();
-    }
-    let mut sliding = SlidingForward::new(hmm, window);
-    let mut scores = Vec::with_capacity(obs.len().saturating_sub(window) + 1);
-    for (t, &symbol) in obs.iter().enumerate() {
-        let score = sliding.push(symbol);
-        // Emit once per full window; a short trace emits its single
-        // (partial) window at the end.
-        if t + 1 >= window {
-            scores.push(score);
-        }
-    }
-    if scores.is_empty() {
-        scores.push(sliding.score());
-    }
-    scores
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forward::{forward, log_likelihood};
+    use crate::sparse::SparseConfig;
 
     fn smoothed(n: usize, m: usize, seed: u64) -> Hmm {
         let mut hmm = Hmm::random(n, m, seed);
@@ -333,9 +233,9 @@ mod tests {
         let hmm = smoothed(4, 5, 3);
         let obs = hmm.sample(200, 9);
         let window = 15;
-        let mut sliding = SlidingForward::new(&hmm, window);
+        let mut sliding = SlidingState::new(hmm.n_states(), window);
         for (t, &symbol) in obs.iter().enumerate() {
-            let score = sliding.push(symbol);
+            let score = sliding.push(&hmm, None, symbol);
             assert_eq!(sliding.anchor(), 0, "smoothed model never re-anchors");
             let start = (t + 1).saturating_sub(window);
             let expected = log_likelihood(&hmm, &obs[..=t]) - log_likelihood(&hmm, &obs[..start]);
@@ -352,9 +252,9 @@ mod tests {
         // forward log-likelihood of everything seen.
         let hmm = smoothed(3, 4, 7);
         let obs = hmm.sample(10, 2);
-        let mut sliding = SlidingForward::new(&hmm, 15);
+        let mut sliding = SlidingState::new(hmm.n_states(), 15);
         for (t, &symbol) in obs.iter().enumerate() {
-            let score = sliding.push(symbol);
+            let score = sliding.push(&hmm, None, symbol);
             let exact = forward(&hmm, &obs[..=t]).log_likelihood;
             assert!((score - exact).abs() < 1e-9, "t={t}: {score} vs {exact}");
         }
@@ -370,10 +270,10 @@ mod tests {
             vec![0.5, 0.5],
         )
         .unwrap();
-        let mut sliding = SlidingForward::new(&hmm, 4);
-        sliding.push(0); // chain in state 0
+        let mut sliding = SlidingState::new(hmm.n_states(), 4);
+        sliding.push(&hmm, None, 0); // chain in state 0
         assert_eq!(sliding.anchor(), 0);
-        let score = sliding.push(2); // impossible after 0 → re-anchor from π
+        let score = sliding.push(&hmm, None, 2); // impossible after 0 → re-anchor from π
         assert_eq!(sliding.anchor(), 1);
         assert_eq!(sliding.stats().reanchors, 1);
         assert_eq!(sliding.stats().pushes, 2);
@@ -395,41 +295,28 @@ mod tests {
             vec![1.0, 0.0],
         )
         .unwrap();
-        let mut sliding = SlidingForward::new(&hmm, 3);
-        sliding.push(0);
-        assert_eq!(sliding.push(1), f64::NEG_INFINITY);
+        let mut sliding = SlidingState::new(hmm.n_states(), 3);
+        sliding.push(&hmm, None, 0);
+        assert_eq!(sliding.push(&hmm, None, 1), f64::NEG_INFINITY);
         // The dead event ages out of the window after 3 more pushes.
-        sliding.push(0);
+        sliding.push(&hmm, None, 0);
         assert_eq!(sliding.score(), f64::NEG_INFINITY);
-        sliding.push(0);
+        sliding.push(&hmm, None, 0);
         assert_eq!(sliding.score(), f64::NEG_INFINITY);
-        sliding.push(0);
+        sliding.push(&hmm, None, 0);
         assert!(sliding.score().is_finite());
     }
 
     #[test]
-    fn scan_scores_window_count_matches_scan_contract() {
-        let hmm = smoothed(3, 4, 1);
-        let obs = hmm.sample(40, 5);
-        assert_eq!(scan_scores(&hmm, &obs, 15).len(), 40 - 15 + 1);
-        assert_eq!(scan_scores(&hmm, &obs[..10], 15).len(), 1);
-        assert_eq!(scan_scores(&hmm, &[], 15).len(), 0);
-        // Short trace: the single score is the exact full-trace likelihood.
-        let exact = log_likelihood(&hmm, &obs[..10]);
-        assert!((scan_scores(&hmm, &obs[..10], 15)[0] - exact).abs() < 1e-9);
-    }
-
-    #[test]
     fn kernel_push_stream_matches_dense() {
-        use crate::sparse::{SparseConfig, SparseTransitions};
         let hmm = smoothed(6, 5, 12);
         let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
         let obs = hmm.sample(120, 4);
-        let mut dense = SlidingForward::new(&hmm, 15);
-        let mut sparse = SlidingForward::new(&hmm, 15).with_kernel(&sp);
+        let mut dense = SlidingState::new(hmm.n_states(), 15);
+        let mut sparse = SlidingState::new(hmm.n_states(), 15);
         for &s in &obs {
-            let d = dense.push(s);
-            let k = sparse.push(s);
+            let d = dense.push(&hmm, None, s);
+            let k = sparse.push(&hmm, Some(&sp), s);
             assert!((d - k).abs() < 1e-9, "{d} vs {k}");
         }
     }
@@ -438,37 +325,37 @@ mod tests {
     fn reset_clears_state() {
         let hmm = smoothed(3, 4, 8);
         let obs = hmm.sample(30, 6);
-        let mut sliding = SlidingForward::new(&hmm, 5);
-        let first: Vec<f64> = obs.iter().map(|&s| sliding.push(s)).collect();
+        let mut sliding = SlidingState::new(hmm.n_states(), 5);
+        let first: Vec<f64> = obs.iter().map(|&s| sliding.push(&hmm, None, s)).collect();
         sliding.reset();
         assert_eq!(sliding.seen(), 0);
         assert_eq!(sliding.score(), 0.0);
         assert_eq!(sliding.stats(), SlidingStats::default());
-        let second: Vec<f64> = obs.iter().map(|&s| sliding.push(s)).collect();
+        let second: Vec<f64> = obs.iter().map(|&s| sliding.push(&hmm, None, s)).collect();
         assert_eq!(first, second, "push streams are deterministic");
     }
 
     #[test]
-    fn owned_state_matches_borrowing_wrapper() {
-        // The detached state form drives the same recurrence: interleaving
-        // pushes of two independent states against a shared model gives
-        // each session exactly the stream a dedicated SlidingForward would.
-        use crate::sparse::{SparseConfig, SparseTransitions};
+    fn interleaved_states_match_dedicated_ones() {
+        // States share nothing but the model: interleaving pushes of two
+        // states gives each session exactly the stream it scores alone.
         let hmm = smoothed(5, 6, 17);
         let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
         let obs_a = hmm.sample(60, 1);
         let obs_b = hmm.sample(60, 2);
-        let mut wrapped_a = SlidingForward::new(&hmm, 7).with_kernel(&sp);
-        let mut wrapped_b = SlidingForward::new(&hmm, 7);
+        let mut alone_a = SlidingState::new(hmm.n_states(), 7);
+        let alone: Vec<f64> = obs_a
+            .iter()
+            .map(|&a| alone_a.push(&hmm, Some(&sp), a))
+            .collect();
         let mut state_a = SlidingState::new(hmm.n_states(), 7);
         let mut state_b = SlidingState::new(hmm.n_states(), 7);
-        for (&a, &b) in obs_a.iter().zip(&obs_b) {
+        for ((&a, &b), want) in obs_a.iter().zip(&obs_b).zip(&alone) {
             // Interleaved: a, b, a, b … against the two owned states.
             let sa = state_a.push(&hmm, Some(&sp), a);
-            let sb = state_b.push(&hmm, None, b);
-            assert_eq!(sa.to_bits(), wrapped_a.push(a).to_bits());
-            assert_eq!(sb.to_bits(), wrapped_b.push(b).to_bits());
+            state_b.push(&hmm, None, b);
+            assert_eq!(sa.to_bits(), want.to_bits());
         }
-        assert_eq!(state_a.stats(), wrapped_a.stats());
+        assert_eq!(state_a.stats(), alone_a.stats());
     }
 }

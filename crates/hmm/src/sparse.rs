@@ -2,8 +2,8 @@
 //!
 //! AD-PROM's HMM is initialized from the pCTM, whose rows follow call-graph
 //! edges — most of an N×N transition matrix carries no trained signal, yet
-//! the dense forward/Viterbi/Baum–Welch recursions walk every row in full
-//! (O(N²) per event). This module drops the per-event cost to O(nnz + N).
+//! the dense forward recursion walks every row in full (O(N²) per event).
+//! This module drops the per-event scoring cost to O(nnz + N).
 //!
 //! # Background + deviation decomposition
 //!
@@ -36,7 +36,7 @@
 //! by at most [`SparseStats::max_fold_deviation`] per entry. `epsilon = 0`
 //! keeps the kernel an exact reparametrization of the input matrix.
 
-use crate::forward::{ForwardPass, StepScores};
+use crate::forward::StepScores;
 use crate::model::Hmm;
 
 /// Construction parameters for [`SparseTransitions`].
@@ -84,7 +84,7 @@ pub struct SparseStats {
 #[derive(Debug, Clone)]
 pub struct SparseTransitions {
     pub(crate) n: usize,
-    /// CSR row pointers into `col`/`val`/`dev`/`log_val` (length `n + 1`).
+    /// CSR row pointers into `col`/`val`/`dev` (length `n + 1`).
     pub(crate) row_start: Vec<usize>,
     /// Destination state of each stored entry.
     pub(crate) col: Vec<u32>,
@@ -92,13 +92,9 @@ pub struct SparseTransitions {
     pub(crate) val: Vec<f64>,
     /// Deviation `a_ij − background_i` of each stored entry.
     pub(crate) dev: Vec<f64>,
-    /// `ln a_ij` of each stored entry (for Viterbi).
-    pub(crate) log_val: Vec<f64>,
     /// Per-row background `c_i` (the folded minimum; 0 for dense rows and
     /// rows whose minimum is a true zero).
     pub(crate) background: Vec<f64>,
-    /// `ln c_i` (`-inf` where the background is zero).
-    pub(crate) log_background: Vec<f64>,
     /// Transposed (CSC) column pointers into `trow`/`tdev` (length `n + 1`).
     /// Within a column, sources are stored in ascending row order. Dense
     /// fallback rows are excluded — they live in `dense_idx`/`dense_val`.
@@ -128,15 +124,11 @@ impl SparseTransitions {
         let mut col = Vec::new();
         let mut val = Vec::new();
         let mut dev = Vec::new();
-        let mut log_val = Vec::new();
         let mut background = Vec::with_capacity(n);
-        let mut log_background = Vec::with_capacity(n);
         let mut dense_rows = 0usize;
         let mut dense_idx = Vec::new();
         let mut dense_val = Vec::new();
         let mut max_fold = 0.0f64;
-        let ln = |x: f64| if x > 0.0 { x.ln() } else { f64::NEG_INFINITY };
-
         row_start.push(0);
         for i in 0..n {
             let row = hmm.a_row(i);
@@ -154,12 +146,10 @@ impl SparseTransitions {
                 dense_idx.push(i as u32);
                 dense_val.extend_from_slice(row);
                 background.push(0.0);
-                log_background.push(f64::NEG_INFINITY);
                 for (j, &a_ij) in row.iter().enumerate() {
                     col.push(j as u32);
                     val.push(a_ij);
                     dev.push(a_ij);
-                    log_val.push(ln(a_ij));
                 }
             } else {
                 let bg = if config.epsilon == 0.0 || folded.len() <= 1 {
@@ -172,13 +162,11 @@ impl SparseTransitions {
                     max_fold = max_fold.max((row[j] - bg).abs());
                 }
                 background.push(bg);
-                log_background.push(ln(bg));
                 for (j, &a_ij) in row.iter().enumerate() {
                     if a_ij > cutoff {
                         col.push(j as u32);
                         val.push(a_ij);
                         dev.push(a_ij - bg);
-                        log_val.push(ln(a_ij));
                     }
                 }
             }
@@ -235,9 +223,7 @@ impl SparseTransitions {
             col,
             val,
             dev,
-            log_val,
             background,
-            log_background,
             tcol_start,
             trow,
             tdev,
@@ -410,139 +396,13 @@ impl SparseTransitions {
             }
         }
     }
-
-    /// `out[i] = Σ_j a(i,j) · x[j]` — the backward gather step,
-    /// O(nnz + N) via the row-sum identity `Σ_j a_ij·x_j = c_i·Σx + Σ d·x`.
-    /// As with [`propagate`](SparseTransitions::propagate): slice lengths
-    /// asserted once per call, per-row gathers kept in stored-entry order
-    /// so the result stays bit-stable across refactors.
-    #[inline]
-    pub fn back_apply(&self, x: &[f64], out: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(x.len(), n);
-        assert_eq!(out.len(), n);
-        let background = &self.background[..n];
-        let total: f64 = x.iter().sum();
-        for (i, o) in out.iter_mut().enumerate() {
-            let (s, e) = (self.row_start[i], self.row_start[i + 1]);
-            let mut acc = background[i] * total;
-            for (c, d) in self.col[s..e].iter().zip(&self.dev[s..e]) {
-                acc += d * x[*c as usize];
-            }
-            *o = acc;
-        }
-    }
-}
-
-/// Scaled forward pass through the sparse kernel; numerically equivalent
-/// to [`crate::forward::forward`] (same scaling, same impossible-sequence
-/// handling) with per-event cost O(nnz + N) instead of O(N²).
-pub fn forward_sparse(hmm: &Hmm, sp: &SparseTransitions, obs: &[usize]) -> ForwardPass {
-    debug_assert_eq!(hmm.n_states(), sp.n_states());
-    let n = hmm.n_states();
-    let t_len = obs.len();
-    let mut alpha = vec![vec![0.0; n]; t_len];
-    let mut scale = vec![0.0; t_len];
-    let mut log_likelihood = 0.0f64;
-    if t_len == 0 {
-        return ForwardPass {
-            alpha,
-            scale,
-            log_likelihood,
-        };
-    }
-
-    let mut sum = 0.0;
-    let bcol = sp.emission_col(obs[0]);
-    for i in 0..n {
-        alpha[0][i] = hmm.pi[i] * bcol[i];
-        sum += alpha[0][i];
-    }
-    if sum <= 0.0 {
-        return impossible(alpha, scale);
-    }
-    scale[0] = 1.0 / sum;
-    for v in &mut alpha[0] {
-        *v *= scale[0];
-    }
-    log_likelihood += sum.ln();
-
-    for t in 1..t_len {
-        let (prev, cur) = {
-            let (a, b) = alpha.split_at_mut(t);
-            (&a[t - 1], &mut b[0])
-        };
-        sp.propagate(prev, cur);
-        let mut sum = 0.0;
-        let bcol = sp.emission_col(obs[t]);
-        for (c, b) in cur.iter_mut().zip(bcol) {
-            *c *= b;
-            sum += *c;
-        }
-        if sum <= 0.0 {
-            return impossible(alpha, scale);
-        }
-        scale[t] = 1.0 / sum;
-        for v in cur.iter_mut() {
-            *v *= scale[t];
-        }
-        log_likelihood += sum.ln();
-    }
-    ForwardPass {
-        alpha,
-        scale,
-        log_likelihood,
-    }
-}
-
-fn impossible(alpha: Vec<Vec<f64>>, scale: Vec<f64>) -> ForwardPass {
-    ForwardPass {
-        alpha,
-        scale,
-        log_likelihood: f64::NEG_INFINITY,
-    }
-}
-
-/// Scaled backward pass through the sparse kernel; the counterpart of
-/// [`crate::forward::backward`].
-pub fn backward_sparse(
-    hmm: &Hmm,
-    sp: &SparseTransitions,
-    obs: &[usize],
-    scale: &[f64],
-) -> Vec<Vec<f64>> {
-    debug_assert_eq!(hmm.n_states(), sp.n_states());
-    let n = hmm.n_states();
-    let t_len = obs.len();
-    let mut beta = vec![vec![0.0; n]; t_len];
-    if t_len == 0 {
-        return beta;
-    }
-    beta[t_len - 1].fill(scale[t_len - 1]);
-    let mut bb = vec![0.0; n];
-    for t in (0..t_len - 1).rev() {
-        let (head, tail) = beta.split_at_mut(t + 1);
-        let next = &tail[0];
-        let cur = &mut head[t];
-        for (j, b) in bb.iter_mut().enumerate() {
-            *b = hmm.b(j, obs[t + 1]) * next[j];
-        }
-        sp.back_apply(&bb, cur);
-        for v in cur.iter_mut() {
-            *v *= scale[t];
-        }
-    }
-    beta
 }
 
 /// `log P(O | λ)` through the sparse kernel, without materializing the α
 /// matrix: the recursion only ever reads the previous step, so scoring
-/// keeps two rolling n-vectors instead of allocating `T` rows. The
-/// arithmetic is the exact op-for-op sequence of [`forward_sparse`], so
-/// the returned value is bit-identical to
-/// `forward_sparse(..).log_likelihood` — this is the detection hot path
-/// (one call per window), where the allocation savings are worth as much
-/// as the O(nnz) propagation.
+/// keeps two rolling n-vectors instead of allocating `T` rows — this is
+/// the detection hot path (one call per window), where the allocation
+/// savings are worth as much as the O(nnz) propagation.
 pub fn log_likelihood_sparse(hmm: &Hmm, sp: &SparseTransitions, obs: &[usize]) -> f64 {
     debug_assert_eq!(hmm.n_states(), sp.n_states());
     let n = hmm.n_states();
@@ -661,88 +521,10 @@ pub fn step_scores_sparse(hmm: &Hmm, sp: &SparseTransitions, obs: &[usize]) -> S
     }
 }
 
-/// Most likely hidden-state path through the sparse kernel, with its log
-/// probability. The log-probability matches [`crate::viterbi::viterbi`]
-/// (up to FP reassociation); the path may differ where candidates tie.
-///
-/// Per step, every destination `j` starts from the best *background*
-/// candidate `max_i(δ_i + ln c_i)` — a valid lower bound for all sources
-/// because `a_ij ≥ c_i` — and stored entries (where `a_ij > c_i`) override
-/// it, so the max over all N² candidates is found in O(nnz + N).
-pub fn viterbi_sparse(hmm: &Hmm, sp: &SparseTransitions, obs: &[usize]) -> (Vec<usize>, f64) {
-    debug_assert_eq!(hmm.n_states(), sp.n_states());
-    let n = hmm.n_states();
-    let t_len = obs.len();
-    if t_len == 0 {
-        return (Vec::new(), 0.0);
-    }
-    let ln = |x: f64| if x > 0.0 { x.ln() } else { f64::NEG_INFINITY };
-
-    let mut delta = vec![vec![f64::NEG_INFINITY; n]; t_len];
-    let mut psi = vec![vec![0usize; n]; t_len];
-    for (i, d) in delta[0].iter_mut().enumerate() {
-        *d = ln(hmm.pi[i]) + ln(hmm.b(i, obs[0]));
-    }
-    for t in 1..t_len {
-        let (prev, cur) = {
-            let (head, tail) = delta.split_at_mut(t);
-            (&head[t - 1], &mut tail[0])
-        };
-        let arg = &mut psi[t];
-        // Best background candidate over all sources.
-        let (mut bg_best, mut bg_arg) = (f64::NEG_INFINITY, 0usize);
-        for (i, &d) in prev.iter().enumerate() {
-            let v = d + sp.log_background[i];
-            if v > bg_best {
-                bg_best = v;
-                bg_arg = i;
-            }
-        }
-        for j in 0..n {
-            cur[j] = bg_best;
-            arg[j] = bg_arg;
-        }
-        // Stored entries override where the true transition beats the
-        // background floor.
-        for (i, &d) in prev.iter().enumerate() {
-            if d == f64::NEG_INFINITY {
-                continue;
-            }
-            let (s, e) = (sp.row_start[i], sp.row_start[i + 1]);
-            for (c, lv) in sp.col[s..e].iter().zip(&sp.log_val[s..e]) {
-                let v = d + lv;
-                let j = *c as usize;
-                if v > cur[j] {
-                    cur[j] = v;
-                    arg[j] = i;
-                }
-            }
-        }
-        for (j, c) in cur.iter_mut().enumerate() {
-            *c += ln(hmm.b(j, obs[t]));
-        }
-    }
-    let (mut state, mut best) = (0usize, f64::NEG_INFINITY);
-    for (i, &d) in delta[t_len - 1].iter().enumerate() {
-        if d > best {
-            best = d;
-            state = i;
-        }
-    }
-    let mut path = vec![0usize; t_len];
-    path[t_len - 1] = state;
-    for t in (1..t_len).rev() {
-        state = psi[t][state];
-        path[t - 1] = state;
-    }
-    (path, best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::{backward, forward, log_likelihood};
-    use crate::viterbi::viterbi;
+    use crate::forward::log_likelihood;
 
     fn smoothed(n: usize, m: usize, seed: u64) -> Hmm {
         let mut hmm = Hmm::random(n, m, seed);
@@ -826,42 +608,6 @@ mod tests {
             let dense: f64 = (0..8).map(|i| alpha[i] * hmm.a(i, j)).sum();
             assert!((got - dense).abs() < 1e-12);
         }
-        let mut back = vec![0.0; 8];
-        sp.back_apply(&alpha, &mut back);
-        for (i, got) in back.iter().enumerate() {
-            let dense: f64 = (0..8).map(|j| hmm.a(i, j) * alpha[j]).sum();
-            assert!((got - dense).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn forward_sparse_matches_dense() {
-        for seed in 0..5 {
-            let hmm = smoothed(6, 4, seed);
-            let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-            let obs = hmm.sample(80, seed + 100);
-            let d = forward(&hmm, &obs);
-            let s = forward_sparse(&hmm, &sp, &obs);
-            assert!((d.log_likelihood - s.log_likelihood).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn rolling_score_is_bit_identical_to_forward_sparse() {
-        for seed in 0..5 {
-            let hmm = smoothed(6, 4, seed);
-            let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-            let obs = hmm.sample(60, seed + 300);
-            // Same op sequence, no α matrix: values must agree bitwise.
-            assert_eq!(
-                log_likelihood_sparse(&hmm, &sp, &obs),
-                forward_sparse(&hmm, &sp, &obs).log_likelihood,
-            );
-        }
-        // Empty and impossible sequences mirror the full pass too.
-        let hmm = smoothed(4, 3, 9);
-        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-        assert_eq!(log_likelihood_sparse(&hmm, &sp, &[]), 0.0);
     }
 
     #[test]
@@ -886,21 +632,7 @@ mod tests {
         let empty = step_scores_sparse(&hmm, &sp, &[]);
         assert_eq!(empty.log_likelihood, 0.0);
         assert!(empty.steps.is_empty());
-    }
-
-    #[test]
-    fn backward_sparse_matches_dense() {
-        let hmm = banded(10, 3);
-        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-        let obs = hmm.sample(40, 7);
-        let fp = forward(&hmm, &obs);
-        let bd = backward(&hmm, &obs, &fp.scale);
-        let bs = backward_sparse(&hmm, &sp, &obs, &fp.scale);
-        for t in 0..obs.len() {
-            for i in 0..10 {
-                assert!((bd[t][i] - bs[t][i]).abs() < 1e-9, "t={t} i={i}");
-            }
-        }
+        assert_eq!(log_likelihood_sparse(&hmm, &sp, &[]), 0.0);
     }
 
     #[test]
@@ -957,25 +689,6 @@ mod tests {
             let (_, _, devs) = sp.row(i);
             let sum: f64 = devs.iter().sum::<f64>() + sp.background(i) * 8.0;
             assert!((sum - 1.0).abs() < 1e-9, "row {i} sums to {sum}");
-        }
-    }
-
-    #[test]
-    fn viterbi_sparse_matches_dense_logprob() {
-        for seed in 0..5 {
-            let hmm = smoothed(6, 4, seed + 40);
-            let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-            let obs = hmm.sample(30, seed);
-            let (pd, ld) = viterbi(&hmm, &obs);
-            let (ps, ls) = viterbi_sparse(&hmm, &sp, &obs);
-            assert!((ld - ls).abs() < 1e-9, "seed {seed}: {ld} vs {ls}");
-            // The returned path must actually achieve the returned score.
-            let mut lp = hmm.pi[ps[0]].ln() + hmm.b(ps[0], obs[0]).ln();
-            for t in 1..obs.len() {
-                lp += hmm.a(ps[t - 1], ps[t]).ln() + hmm.b(ps[t], obs[t]).ln();
-            }
-            assert!((lp - ls).abs() < 1e-9);
-            let _ = pd;
         }
     }
 }

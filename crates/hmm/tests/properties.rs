@@ -1,11 +1,12 @@
 //! Property tests: the scaled forward algorithm against brute-force
 //! enumeration, the dense forward step against the row-wise accumulation
-//! it replaced, and distributional invariants of training.
+//! it replaced, the sliding and batch kernels against the scalar
+//! recursions, and distributional invariants of training.
 
 use adprom_hmm::{
-    backward, dense_step, forward, forward_sparse, log_likelihood, log_likelihood_sparse,
-    reestimate, reestimate_with_config, scan_scores, step_scores, train, viterbi, viterbi_sparse,
-    Hmm, SlidingForward, SlidingState, SparseConfig, SparseTransitions, TrainConfig,
+    backward, dense_step, forward, log_likelihood, log_likelihood_sparse, reestimate,
+    score_windows_batch, step_scores, train, viterbi, Hmm, SlidingState, SparseConfig,
+    SparseTransitions, TrainConfig,
 };
 use proptest::prelude::*;
 
@@ -170,6 +171,31 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// A `SlidingState`'s scores under the scan contract: one per full
+/// window (`len − n + 1` for `len > n`), the single short window's score
+/// for a trace that never fills one, none for an empty trace.
+fn window_scores(hmm: &Hmm, obs: &[usize], window: usize) -> Vec<f64> {
+    let mut sliding = SlidingState::new(hmm.n_states(), window);
+    let mut scores = Vec::new();
+    for (t, &symbol) in obs.iter().enumerate() {
+        let score = sliding.push(hmm, None, symbol);
+        if t + 1 >= window {
+            scores.push(score);
+        }
+    }
+    if scores.is_empty() && !obs.is_empty() {
+        scores.push(sliding.score());
+    }
+    scores
+}
+
+/// `count` same-length windows sampled from the model.
+fn sample_windows(hmm: &Hmm, count: usize, len: usize, seed: u64) -> Vec<Vec<usize>> {
+    (0..count as u64)
+        .map(|i| hmm.sample(len, seed ^ (0x9E37_79B9 ^ i.wrapping_mul(0x85EB_CA6B))))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -299,16 +325,21 @@ proptest! {
     /// The incremental sliding-window score matches a full forward()
     /// recompute via the prefix-difference identity, anchored at the
     /// scorer's own re-anchor point so the check is exact even for
-    /// unsmoothed models that hit the impossible-prefix fallback.
+    /// models that hit the impossible-prefix fallback — through the dense
+    /// step or the CSR kernel at ε = 0, on smoothed random models.
     #[test]
-    fn sliding_forward_matches_full_recompute(
+    fn sliding_state_matches_full_recompute(
         hmm in arb_hmm(5, 5), seed in any::<u64>(),
-        len in 1usize..60, window in 1usize..20,
+        len in 1usize..60, window in 1usize..20, sparse in any::<bool>(),
     ) {
+        let mut hmm = hmm;
+        hmm.smooth(1e-4);
+        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
+        let kernel = sparse.then_some(&sp);
         let obs = hmm.sample(len, seed);
-        let mut sliding = SlidingForward::new(&hmm, window);
+        let mut sliding = SlidingState::new(hmm.n_states(), window);
         for (t, &symbol) in obs.iter().enumerate() {
-            let score = sliding.push(symbol);
+            let score = sliding.push(&hmm, kernel, symbol);
             let start = (t + 1).saturating_sub(window);
             let anchor = sliding.anchor();
             // Window score == ll(obs[anchor..=t]) − ll(obs[anchor..start])
@@ -333,7 +364,7 @@ proptest! {
         }
     }
 
-    /// `SlidingForward::stats()` re-anchor accounting: the counter equals
+    /// `SlidingState::stats()` re-anchor accounting: the counter equals
     /// the number of exact recomputes (restarts from π) actually
     /// performed, counted independently by replaying the stream with
     /// fresh full forward() passes. Sparse models + uniform random event
@@ -344,7 +375,7 @@ proptest! {
         obs in prop::collection::vec(0usize..4, 1..48),
         window in 1usize..8,
     ) {
-        let mut sliding = SlidingForward::new(&hmm, window);
+        let mut sliding = SlidingState::new(hmm.n_states(), window);
         let mut expected_reanchors = 0u64;
         let mut anchor = 0usize;
         let mut dead = true;
@@ -361,7 +392,7 @@ proptest! {
                 anchor = t;
                 dead = !log_likelihood(&hmm, &obs[t..=t]).is_finite();
             }
-            sliding.push(symbol);
+            sliding.push(&hmm, None, symbol);
             prop_assert_eq!(sliding.anchor(), anchor, "anchor diverged at t={}", t);
             prop_assert_eq!(
                 sliding.stats().reanchors, expected_reanchors,
@@ -383,27 +414,27 @@ proptest! {
         let mut smoothed = hmm;
         smoothed.smooth(1e-4);
         let obs = smoothed.sample(len, seed);
-        let mut sliding = SlidingForward::new(&smoothed, 6);
+        let mut sliding = SlidingState::new(smoothed.n_states(), 6);
         for &symbol in &obs {
-            sliding.push(symbol);
+            sliding.push(&smoothed, None, symbol);
         }
         prop_assert_eq!(sliding.stats().reanchors, 0u64);
         prop_assert_eq!(sliding.stats().pushes, len as u64);
     }
 
-    /// scan_scores emits one score per sliding window (the scan contract)
-    /// and each equals the conditional prefix difference computed by two
-    /// full forward() passes on smoothed (zero-free, never re-anchoring)
-    /// models.
+    /// A `SlidingState` read under the scan contract yields one score per
+    /// sliding window, and each equals the conditional prefix difference
+    /// computed by two full forward() passes on smoothed (zero-free, never
+    /// re-anchoring) models.
     #[test]
-    fn scan_scores_matches_prefix_differences(
+    fn sliding_window_scores_match_prefix_differences(
         n in 1usize..5, m in 1usize..5, model_seed in any::<u64>(),
         seed in any::<u64>(), len in 1usize..50, window in 1usize..16,
     ) {
         let mut hmm = Hmm::random(n, m, model_seed);
         hmm.smooth(1e-4);
         let obs = hmm.sample(len, seed);
-        let incremental = scan_scores(&hmm, &obs, window);
+        let incremental = window_scores(&hmm, &obs, window);
         let expected: Vec<f64> = if obs.len() <= window {
             vec![log_likelihood(&hmm, &obs)]
         } else {
@@ -436,8 +467,6 @@ proptest! {
         let obs = hmm.sample(len, seed);
         let dense = log_likelihood(&hmm, &obs);
         let rolling = log_likelihood_sparse(&hmm, &sp, &obs);
-        let full = forward_sparse(&hmm, &sp, &obs).log_likelihood;
-        prop_assert_eq!(rolling, full, "rolling scorer must be bit-identical to forward_sparse");
         if dense.is_finite() {
             prop_assert!((rolling - dense).abs() < 1e-9,
                 "sparse {rolling} vs dense {dense}");
@@ -446,48 +475,80 @@ proptest! {
         }
     }
 
-    /// The sparse Viterbi recursion finds a path of the same log
-    /// probability as the dense one.
+    /// The batched kernel is bit-identical (`==`, not approximately)
+    /// to the scalar rolling sparse scorer in every lane, at every batch
+    /// width — including widths past the 32-lane split and models with
+    /// structural zeros where lanes die to −∞.
     #[test]
-    fn sparse_viterbi_matches_dense(
-        hmm in arb_hmm(5, 4), seed in any::<u64>(), len in 1usize..15,
+    fn batch_f64_bit_identical_to_scalar(
+        hmm in arb_hmm(6, 5), seed in any::<u64>(), len in 1usize..24,
+        count in 1usize..40, smooth in any::<bool>(),
+    ) {
+        let mut hmm = hmm;
+        if smooth {
+            hmm.smooth(1e-4);
+        }
+        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
+        let windows = sample_windows(&hmm, count, len, seed);
+        let lanes: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
+        let batch = score_windows_batch(&hmm, &sp, &lanes, false);
+        prop_assert_eq!(batch.scores.len(), count);
+        for (lane, w) in windows.iter().enumerate() {
+            let scalar = log_likelihood_sparse(&hmm, &sp, w);
+            prop_assert!(
+                batch.scores[lane] == scalar
+                    || (batch.scores[lane].is_nan() && scalar.is_nan()),
+                "lane {lane}: batch {} vs scalar {scalar}", batch.scores[lane]
+            );
+        }
+    }
+
+    /// Batch width never changes a score: scoring the same windows one at
+    /// a time, in pairs, or all at once yields bit-identical results —
+    /// the lane-local recursion makes batching purely a cache-reuse
+    /// optimization.
+    #[test]
+    fn batch_width_is_score_invariant(
+        hmm in arb_hmm(6, 5), seed in any::<u64>(), len in 1usize..20,
+        count in 2usize..24, split in 1usize..8,
     ) {
         let mut hmm = hmm;
         hmm.smooth(1e-4);
         let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
-        let obs = hmm.sample(len, seed);
-        let (_, dense_lp) = viterbi(&hmm, &obs);
-        let (path, sparse_lp) = viterbi_sparse(&hmm, &sp, &obs);
-        prop_assert_eq!(path.len(), obs.len());
-        prop_assert!((sparse_lp - dense_lp).abs() < 1e-9,
-            "sparse viterbi {sparse_lp} vs dense {dense_lp}");
+        let windows = sample_windows(&hmm, count, len, seed);
+        let lanes: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
+
+        let all = score_windows_batch(&hmm, &sp, &lanes, false).scores;
+        let mut chunked = Vec::new();
+        for chunk in lanes.chunks(split) {
+            chunked.extend(score_windows_batch(&hmm, &sp, chunk, false).scores);
+        }
+        for lane in 0..count {
+            prop_assert!(all[lane] == chunked[lane],
+                "lane {lane}: width {count} gave {} vs width {split} {}",
+                all[lane], chunked[lane]);
+        }
     }
 
-    /// One sparse-kernel re-estimation step lands within 1e-9 of the dense
-    /// step, parameter by parameter.
+    /// Per-step factor traces from the batch kernel match the scalar
+    /// scorer's totals: each lane's steps sum to its score.
     #[test]
-    fn sparse_reestimation_matches_dense(
-        n in 2usize..5, model_seed in any::<u64>(), seed in any::<u64>(),
+    fn batch_steps_sum_to_scores(
+        hmm in arb_hmm(5, 4), seed in any::<u64>(), len in 1usize..16,
+        count in 1usize..10,
     ) {
-        let mut dense_model = Hmm::random(n, 4, model_seed);
-        dense_model.smooth(1e-4);
-        let mut sparse_model = dense_model.clone();
-        let teacher = Hmm::random(3, 4, seed ^ 0xBEEF);
-        let data: Vec<Vec<usize>> = (0..12).map(|i| teacher.sample(10, seed ^ i)).collect();
-        let dense_cfg = TrainConfig { parallel: false, sparse: false, ..TrainConfig::default() };
-        let sparse_cfg = TrainConfig { parallel: false, sparse: true, ..TrainConfig::default() };
-        reestimate_with_config(&mut dense_model, &data, None, &dense_cfg);
-        reestimate_with_config(&mut sparse_model, &data, None, &sparse_cfg);
-        for i in 0..n {
-            prop_assert!((dense_model.pi[i] - sparse_model.pi[i]).abs() < 1e-9);
-            for j in 0..n {
-                prop_assert!((dense_model.a(i, j) - sparse_model.a(i, j)).abs() < 1e-9,
-                    "a({i},{j}): dense {} vs sparse {}", dense_model.a(i, j), sparse_model.a(i, j));
-            }
-            for k in 0..4 {
-                prop_assert!((dense_model.b(i, k) - sparse_model.b(i, k)).abs() < 1e-9,
-                    "b({i},{k}): dense {} vs sparse {}", dense_model.b(i, k), sparse_model.b(i, k));
-            }
+        let mut hmm = hmm;
+        hmm.smooth(1e-4);
+        let sp = SparseTransitions::from_hmm(&hmm, &SparseConfig::default());
+        let windows = sample_windows(&hmm, count, len, seed);
+        let lanes: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
+        let batch = score_windows_batch(&hmm, &sp, &lanes, true);
+        let steps = batch.steps.expect("want_steps = true");
+        for (lane, lane_steps) in steps.iter().enumerate() {
+            prop_assert_eq!(lane_steps.len(), len);
+            let total: f64 = lane_steps.iter().sum();
+            prop_assert!((total - batch.scores[lane]).abs() < 1e-9,
+                "lane {lane}: steps sum {total} vs score {}", batch.scores[lane]);
         }
     }
 

@@ -188,8 +188,6 @@ fn metrics_snapshot_names_every_pipeline_counter() {
         "detect.flags.data_leak",
         "detect.flags.out_of_context",
         "detect.kernel.batch_windows",
-        "detect.kernel.f32_windows",
-        "detect.kernel.f32_rescored",
         "monitor.events",
         "monitor.flushes",
         "monitor.sessions.opened",
